@@ -21,8 +21,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..graph.edge_table import EdgeTable
-from ..util.validation import require
+from ..graph.edge_table import EdgeTable, _top_k_rows
+from ..util.validation import as_float_array, require
 
 
 @dataclass(frozen=True)
@@ -92,17 +92,15 @@ class ScoredEdges:
     def top_share_many(self, shares) -> list:
         """Backbones at several shares, ranking the edges only once.
 
-        Output is bit-identical to ``[self.top_share(s) for s in shares]``
-        (same sort keys, same tie-breaking); the shared ranking just
-        removes the per-share ``lexsort`` that dominates sweep filtering.
+        Output is bit-identical to ``[self.top_share(s) for s in shares]``:
+        both select under the total order ``(-score, -weight, row)`` of
+        :func:`~repro.graph.edge_table._top_k_rows`, which here runs one
+        partition for all the shares instead of one per share.
         """
-        order = np.lexsort((np.arange(self.m), -self.table.weight,
-                            -self.score))
-        backbones = []
-        for share in shares:
-            k = self.share_to_k(share)
-            backbones.append(self.table.subset(np.sort(order[:k])))
-        return backbones
+        values = as_float_array(self.score, "values")
+        ks = [self.share_to_k(share) for share in shares]
+        return [self.table.subset(rows)
+                for rows in _top_k_rows(values, self.table.weight, ks)]
 
     def threshold_for_share(self, share: float) -> float:
         """Score threshold approximating the ``share_to_k`` edge budget.
@@ -118,9 +116,8 @@ class ScoredEdges:
         """
         require(self.m > 0,
                 "threshold_for_share needs at least one scored edge")
-        k = self.share_to_k(share)
-        ordered = np.sort(self.score)[::-1]
-        return float(ordered[max(k, 1) - 1])
+        position = self.m - max(self.share_to_k(share), 1)
+        return float(np.partition(self.score, position)[position])
 
 
 class BackboneMethod(ABC):

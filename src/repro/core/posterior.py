@@ -68,7 +68,14 @@ def posterior_probability(table: EdgeTable) -> PosteriorResult:
     """
     ni, nj, total = edge_marginals(table)
     weight = table.weight
-    prior_mean, prior_variance = hypergeometric_prior_moments(ni, nj, total)
+    if not 0.0 < total <= 1.0:
+        prior_mean, prior_variance = hypergeometric_prior_moments(ni, nj,
+                                                                  total)
+    else:
+        # At most one unit of weight: the prior variance is undefined
+        # (0/0), so every edge takes the plug-in fallback below.
+        prior_mean = ni * nj / total ** 2
+        prior_variance = np.zeros_like(prior_mean)
 
     feasible = ((prior_mean > 0.0) & (prior_mean < 1.0)
                 & (prior_variance > 0.0)
@@ -91,7 +98,7 @@ def posterior_probability(table: EdgeTable) -> PosteriorResult:
 
     fallback = ~feasible
     if np.any(fallback):
-        epsilon = 1.0 / (2.0 * total)
+        epsilon = min(1.0 / (2.0 * total), 0.5)
         plug_in = weight[fallback] / total
         mean[fallback] = np.clip(plug_in, epsilon, 1.0 - epsilon)
         alpha_post = np.where(fallback, np.nan, alpha_post)

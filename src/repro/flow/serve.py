@@ -295,9 +295,11 @@ def _shared_rankings(compiled: Sequence[CompiledPlan], scored_by_key,
     """One ranking pass per scored table for raw-share plan groups.
 
     Sweep-compiled batches put many ``rank="score"`` share budgets on
-    one scored table; ranking once via ``top_share_many`` is
-    bit-identical to per-plan ``top_share`` (the PR 2 contract) and
-    kills the per-plan lexsort.
+    one scored table; ``top_share_many`` selects every share under the
+    same total order as per-plan ``top_share`` (bit-identical output)
+    with one partition of the scores instead of one per plan. A group
+    whose ranking fails (non-finite scores) is left out, so each of
+    its plans reports the error on its own through ``_apply_filter``.
     """
     groups: Dict[str, List[int]] = {}
     for index, item in enumerate(compiled):
@@ -310,7 +312,10 @@ def _shared_rankings(compiled: Sequence[CompiledPlan], scored_by_key,
     shared: Dict[int, EdgeTable] = {}
     for key, indexes in groups.items():
         shares = [compiled[i].budget.share for i in indexes]
-        backbones = scored_by_key[key].top_share_many(shares)
+        try:
+            backbones = scored_by_key[key].top_share_many(shares)
+        except ValueError:
+            continue
         shared.update(zip(indexes, backbones))
     return shared
 

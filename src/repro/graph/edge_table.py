@@ -357,14 +357,14 @@ class EdgeTable:
 
         Ties are broken deterministically by weight and then row order, so
         repeated runs keep the same edges (needed for edge-budget matched
-        comparisons across backbone methods).
+        comparisons across backbone methods); see :func:`_top_k_rows`.
         """
         values = as_float_array(values, "values")
         require(len(values) == self.m, "values must have one entry per edge")
         k = int(k)
         require(0 <= k <= self.m, f"k={k} out of range [0, {self.m}]")
-        order = np.lexsort((np.arange(self.m), -self.weight, -values))
-        return self.subset(np.sort(order[:k]))
+        rows, = _top_k_rows(values, self.weight, [k])
+        return self.subset(rows)
 
     def symmetrized(self, mode: str = "sum") -> "EdgeTable":
         """Collapse a directed table into an undirected one.
@@ -460,6 +460,46 @@ class EdgeTable:
         return sparse.csr_matrix(
             (doubled.weight, (doubled.src, doubled.dst)),
             shape=(self.n_nodes, self.n_nodes))
+
+
+def _top_k_rows(values: np.ndarray, weight: np.ndarray,
+                ks: Iterable[int]) -> Iterator[np.ndarray]:
+    """Yield, for each ``k`` in ``ks``, the sorted rows of the top ``k``.
+
+    This is the one definition of the ranking order behind every
+    budgeted extraction: rows compare by ``(-value, -weight, row)``. The
+    order is total, so the top ``k`` is unique, and the result equals
+    ``np.sort(np.lexsort((np.arange(m), -weight, -values))[:k])``.
+
+    One ``np.partition`` at every ``k``-th largest value replaces the
+    full sort. For each ``k``, rows strictly above its ``k``-th value are
+    in; only the boundary group (rows equal to it) is ordered, by
+    ``(-weight, row)``, to fill the remaining places. Cost is O(m) per
+    ``k`` plus a sort of the boundary group. ``values`` must be finite
+    float64 (callers validate: NaN has no place in the order) and every
+    ``k`` must lie in ``[0, m]``. Rows are yielded lazily, so a caller
+    that builds one subset per ``k`` holds one index array at a time.
+    """
+    ks = [int(k) for k in ks]
+    m = len(values)
+    positions = sorted({m - k for k in ks if 0 < k < m})
+    kth: Dict[int, float] = {}
+    if positions:
+        scratch = np.partition(values, positions)
+        kth = {m - position: scratch[position] for position in positions}
+        del scratch
+    for k in ks:
+        if k == 0:
+            yield np.empty(0, dtype=np.intp)
+        elif k == m:
+            yield np.arange(m)
+        else:
+            keep = values > kth[k]
+            boundary = np.flatnonzero(values == kth[k])
+            need = k - int(np.count_nonzero(keep))
+            order = np.argsort(-weight[boundary], kind="stable")
+            keep[boundary[order[:need]]] = True
+            yield np.flatnonzero(keep)
 
 
 def coalesce_edges(src: np.ndarray, dst: np.ndarray, weight: np.ndarray

@@ -14,7 +14,7 @@ Extraction then runs on the fly:
 * threshold budgets keep each block's strict survivors
   (``score > t``, exactly :meth:`ScoredEdges.filter`);
 * share / edge-count budgets maintain a running top-``k`` under the
-  total order ``(-score, -weight, row)`` — the same lexsort key
+  total order ``(-score, -weight, row)`` — selected by the same kernel
   :meth:`EdgeTable.top_k_by` uses, so periodic truncation of the
   candidate buffer cannot change the final selection;
 * NC's δ rule ranks by ``score - δ·sdev`` per block, mirroring
@@ -38,9 +38,9 @@ from ..backbones.disparity import DisparityFilter
 from ..backbones.naive import NaiveThreshold
 from ..core.noise_corrected import (NoiseCorrectedBackbone,
                                     NoiseCorrectedPValue)
-from ..graph.edge_table import EdgeTable
+from ..graph.edge_table import EdgeTable, _top_k_rows
 from ..obs.trace import span
-from ..util.validation import require
+from ..util.validation import as_float_array, require
 from .pipeline import CanonicalStream
 
 #: Methods whose scores are per-edge functions of O(nodes) aggregates.
@@ -177,12 +177,11 @@ def _method_mode(method: BackboneMethod, kwargs) -> Tuple[bool, str, float]:
 class _ThresholdSelector:
     """``ScoredEdges.filter``: keep rows scoring strictly above ``t``."""
 
-    def __init__(self, threshold: float, nonloop_m: int):
+    def __init__(self, threshold: float):
         self.threshold = float(threshold)
         self._parts: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
-    def feed(self, values: np.ndarray, block: _StreamBlock,
-             nl_offset: int) -> None:
+    def feed(self, values: np.ndarray, block: _StreamBlock) -> None:
         mask = values > self.threshold
         if np.any(mask):
             self._parts.append((block.src[mask], block.dst[mask],
@@ -196,93 +195,82 @@ class _TopKSelector:
     """``EdgeTable.top_k_by`` as a running selection.
 
     Candidates are ranked under the total order
-    ``(-value, -weight, global row)`` — ``top_k_by``'s exact lexsort
-    key, with the block's global loop-free row index standing in for
-    ``np.arange(m)``. The order is total, so truncating the candidate
-    buffer to the best ``k`` after any prefix of blocks keeps exactly
-    the rows the full sort would keep; once ``k`` candidates are held,
-    rows scoring strictly below the ``k``-th candidate's value are
-    strictly worse under the order and are dropped at feed time
-    (``~(values < floor)`` so NaN scores — sorted last by both paths —
-    are never dropped early). Buffer memory is O(k + block); the final
-    output is re-sorted by row index, matching
-    ``subset(np.sort(order[:k]))``.
+    ``(-value, -weight, global row)`` by the same kernel as
+    ``top_k_by`` (:func:`~repro.graph.edge_table._top_k_rows`). Blocks
+    arrive in ascending global row order and every cut keeps buffer
+    order, so a candidate's buffer position ranks exactly like its
+    global row and no row column is stored. The order is total, so
+    cutting the buffer to the best ``k`` after any prefix of blocks
+    keeps exactly the rows the full selection would keep; once ``k``
+    candidates are held, rows scoring strictly below the ``k``-th
+    value (the floor) are strictly worse and are dropped at feed time.
+    Values must be finite, as in ``top_k_by``: a NaN or infinite score
+    raises the same ``ValueError``. Buffer memory is O(k + block), and
+    the final selection is already in row order, matching
+    ``top_k_by``'s output.
     """
 
-    #: Column layout of the candidate buffer; ``values``/``weight``/
-    #: ``rows`` double as the ranking key.
-    _VALUES, _ROWS, _SRC, _DST, _WEIGHT = range(5)
+    #: Column layout of the candidate buffer.
+    _VALUES, _SRC, _DST, _WEIGHT = range(4)
 
     def __init__(self, k: int, nonloop_m: int):
         k = int(k)
         require(0 <= k <= nonloop_m,
                 f"k={k} out of range [0, {nonloop_m}]")
         self.k = k
-        self._columns: List[List[np.ndarray]] = [[] for _ in range(5)]
+        self._columns: List[List[np.ndarray]] = [[] for _ in range(4)]
         self._count = 0
         self._floor: Optional[float] = None
 
-    def feed(self, values: np.ndarray, block: _StreamBlock,
-             nl_offset: int) -> None:
+    def feed(self, values: np.ndarray, block: _StreamBlock) -> None:
+        values = as_float_array(values, "values")
         if self.k == 0:
             return
-        rows = np.arange(nl_offset, nl_offset + block.m, dtype=np.int64)
-        src, dst, weight = block.src, block.dst, block.weight
+        columns = (values, block.src, block.dst, block.weight)
         if self._floor is not None:
-            keep = ~(values < self._floor)
+            keep = values >= self._floor
             if not keep.all():
-                values, rows = values[keep], rows[keep]
-                src, dst, weight = src[keep], dst[keep], weight[keep]
-        if not len(values):
+                columns = tuple(column[keep] for column in columns)
+        if not len(columns[self._VALUES]):
             return
-        for column, array in zip(self._columns,
-                                 (values, rows, src, dst, weight)):
-            column.append(array)
-        self._count += len(values)
-        if self._count > self.k + max(self.k, 1 << 18):
-            self._truncate()
+        for buffer, column in zip(self._columns, columns):
+            buffer.append(column)
+        self._count += len(columns[self._VALUES])
+        if self._count > self.k + max(self.k, block.m):
+            self._cut()
 
     def _gather(self, index: int) -> np.ndarray:
         column = self._columns[index]
         return column[0] if len(column) == 1 else np.concatenate(column)
 
-    def _order(self, values, rows, weight) -> np.ndarray:
-        return np.lexsort((rows, -weight, -values))[:self.k]
-
-    def _truncate(self) -> None:
+    def _cut(self) -> None:
+        """Keep only the best ``k`` of the more than ``k`` candidates
+        held, in buffer order; their lowest value becomes the floor."""
         values = self._gather(self._VALUES)
-        rows = self._gather(self._ROWS)
         weight = self._gather(self._WEIGHT)
-        order = self._order(values, rows, weight)
+        rows, = _top_k_rows(values, weight, [self.k])
         # Replace columns one at a time so each block's originals are
         # released before the next column concatenates.
-        for index, whole in ((self._VALUES, values), (self._ROWS, rows),
-                             (self._WEIGHT, weight)):
-            self._columns[index] = [whole[order]]
-        del values, rows, weight
+        self._columns[self._VALUES] = [values[rows]]
+        self._columns[self._WEIGHT] = [weight[rows]]
+        del values, weight
         for index in (self._SRC, self._DST):
-            self._columns[index] = [self._gather(index)[order]]
-        self._count = len(order)
-        if self._count == self.k:
-            kept = self._columns[self._VALUES][0]
-            self._floor = float(kept[-1])
+            self._columns[index] = [self._gather(index)[rows]]
+        self._count = len(rows)
+        self._floor = float(self._columns[self._VALUES][0].min())
 
     def parts(self) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
         if self.k == 0 or not self._count:
             return []
-        values = self._gather(self._VALUES)
-        rows = self._gather(self._ROWS)
-        weight = self._gather(self._WEIGHT)
-        order = self._order(values, rows, weight)
-        keep = order[np.argsort(rows[order], kind="stable")]
-        return [(self._gather(self._SRC)[keep],
-                 self._gather(self._DST)[keep],
-                 self._gather(self._WEIGHT)[keep])]
+        if self._count > self.k:
+            self._cut()
+        return [(self._gather(self._SRC), self._gather(self._DST),
+                 self._gather(self._WEIGHT))]
 
 
 def _make_selector(kind: str, value: float, nonloop_m: int):
     if kind == "threshold":
-        return _ThresholdSelector(value, nonloop_m)
+        return _ThresholdSelector(value)
     if kind == "share":
         require(0.0 <= value <= 1.0,
                 f"share must be in [0, 1], got {value}")
@@ -342,7 +330,7 @@ def stream_extract(stream: CanonicalStream, jobs: Sequence[Tuple]
     failed: Dict[str, Exception] = {}
     job_errors: Dict[object, Exception] = {}
     with span("stream.pass2", keys=len(rep), jobs=len(jobs)):
-        for src, dst, weight, nl_offset in _scoring_blocks(stream):
+        for src, dst, weight in _scoring_blocks(stream):
             block = _StreamBlock(stream, src, dst, weight)
             proxy = _PrepareProxy(stream.m, block)
             for key, method in rep.items():
@@ -359,7 +347,7 @@ def stream_extract(stream: CanonicalStream, jobs: Sequence[Tuple]
                     try:
                         selector.feed(_job_values(scored, job_method,
                                                   adjusted),
-                                      block, nl_offset)
+                                      block)
                     except Exception as error:
                         job_errors[job_id] = error
 
@@ -396,7 +384,7 @@ def _scoring_blocks(stream: CanonicalStream):
         yield item
     if empty:
         yield (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-               np.empty(0, dtype=np.float64), 0)
+               np.empty(0, dtype=np.float64))
 
 
 def _job_values(scored, method: BackboneMethod,

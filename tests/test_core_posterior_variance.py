@@ -80,6 +80,19 @@ class TestPosterior:
         assert posterior.fallback.all()
         assert 0 < posterior.mean[0] < 1
 
+    @pytest.mark.parametrize("weights", [[1.0], [0.5], [0.25, 0.25]])
+    def test_unit_grand_total_falls_back_instead_of_raising(self, weights):
+        # N.. <= 1 leaves the hypergeometric prior variance undefined;
+        # the posterior must fall back per edge, not fail the whole score.
+        table = EdgeTable(list(range(len(weights))),
+                          list(range(1, len(weights) + 1)), weights,
+                          n_nodes=len(weights) + 2, directed=True)
+        posterior = posterior_probability(table)
+        assert posterior.fallback.all()
+        assert np.all((posterior.mean > 0) & (posterior.mean < 1))
+        sdev = transformed_lift_sdev(table, posterior=posterior)
+        assert np.all(np.isfinite(sdev)) and np.all(sdev >= 0)
+
     def test_posterior_mean_scale_invariant(self):
         # In the paper's model the prior is informed by the *same*
         # marginals, so prior strength grows with the data: the posterior
