@@ -2,10 +2,11 @@
 
 The service regime of ISSUE 5: eight requests for the Noise-Corrected
 backbone at eight delta strictnesses over the same edge file. Served
-cold one by one, every request pays the full source-to-backbone cost
-(hash + parse + score + filter); served as one ``run_many`` batch, the
-flow compiler deduplicates the source resolution and the scoring pass,
-leaving only the eight (cheap) delta filters. Asserts:
+cold one by one, every request pays hash + score + filter (the parse
+only once: the compiler's table cache answers the other seven);
+served as one ``run_many`` batch, the flow compiler deduplicates the
+source resolution and the scoring pass, leaving only the eight
+(cheap) delta filters. Asserts:
 
 * the batch is at least 5x faster than the eight cold single runs;
 * the batch performs exactly **one** scoring pass — store-verified
@@ -48,7 +49,7 @@ def _write_workload(tmp_path):
 
 def _run_both_ways(path):
     # Eight cold singles: fresh plan, no shared store — each request
-    # pays hash + parse + score + filter, the "no flow layer" cost.
+    # pays hash + score + filter, the "no batching" cost.
     def cold_singles():
         return [flow(path, directed=False).method("NC", delta=delta)
                 .run() for delta in DELTAS]

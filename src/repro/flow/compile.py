@@ -6,11 +6,11 @@ score_with_store`, backend spec strings, ``workers=``). For a batch of
 plans it
 
 1. resolves every *distinct* source exactly once — a file is hashed
-   once and parsed at most once per batch, however many plans point at
-   it, and a store's source binding (``bind_source`` /
-   ``resolve_source``, persisted since PR 4) supplies the table
-   fingerprint on warm runs so key derivation never re-hashes a parsed
-   table;
+   once per batch, however many plans point at it, and parsed at most
+   once per *process* while its parsed table stays in the table cache
+   (below); a store's source binding (``bind_source`` /
+   ``resolve_source``) supplies the table fingerprint on warm runs so
+   key derivation never re-hashes a parsed table;
 2. builds the configured method instance and derives the score-cache
    key (:func:`~repro.pipeline.fingerprint.fingerprint_score_request`)
    — the key deliberately excludes extraction-only knobs, which is
@@ -21,10 +21,28 @@ plans it
 
 The result, one :class:`CompiledPlan` per plan, is everything
 :func:`repro.flow.serve` needs to schedule scoring and apply filters.
+
+Parsed file tables are kept in a process-wide LRU keyed by the source
+fingerprint — the digest of the file's bytes plus its parse options,
+so a rewritten file or a changed ``directed``/delimiter/format can
+never be answered with a stale table — and bounded by
+:data:`TABLE_CACHE_BYTES` (the three columns plus the labels). Warm
+batches, the daemon above all, therefore hash their sources but never
+re-parse them. A cached table is shared by every batch that resolves
+it, so the ``src``/``dst``/``weight`` arrays of every file table
+compiled here (kept or over the cap) are read-only: an in-place write
+raises instead of corrupting later requests. Hits,
+misses, evictions and the resident bytes are exported through the
+process-wide metrics registry (``repro_table_cache_*``).
+:class:`~repro.flow.spec.TableSource` plans and streamed plans never
+touch the cache, and a source that fails to parse caches nothing.
 """
 
 from __future__ import annotations
 
+import sys
+import threading
+from collections import OrderedDict
 from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,6 +50,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..backbones.base import BackboneMethod
 from ..graph.edge_table import EdgeTable
+from ..obs.metrics import get_registry
 from ..obs.trace import span
 from ..pipeline.fingerprint import (fingerprint_score_request,
                                     fingerprint_table)
@@ -41,6 +60,29 @@ from ..stream import (StreamingUnsupported, auto_threshold_bytes,
 from ..util.validation import require
 from .plan import Plan
 from .spec import FilterSpec, TableSource
+
+#: Byte cap on the process-wide parsed-table cache. A table larger
+#: than the cap is served but not kept.
+TABLE_CACHE_BYTES = 256 << 20
+
+_TABLE_CACHE_LOCK = threading.Lock()
+#: source fingerprint -> (table, bytes), least recently used first.
+_TABLE_CACHE: "OrderedDict[str, Tuple[EdgeTable, int]]" = OrderedDict()
+_TABLE_CACHE_TOTAL = 0
+
+_REGISTRY = get_registry()
+_TABLE_CACHE_HITS = _REGISTRY.counter(
+    "repro_table_cache_hits_total",
+    "File-source resolutions answered by the parsed-table cache.")
+_TABLE_CACHE_MISSES = _REGISTRY.counter(
+    "repro_table_cache_misses_total",
+    "File-source resolutions that parsed their source.")
+_TABLE_CACHE_EVICTIONS = _REGISTRY.counter(
+    "repro_table_cache_evictions_total",
+    "Parsed tables evicted by the table cache's byte cap.")
+_TABLE_CACHE_RESIDENT = _REGISTRY.gauge(
+    "repro_table_cache_bytes",
+    "Bytes of parsed tables held by the table cache.")
 
 
 @dataclass
@@ -218,7 +260,8 @@ def _resolve_source(source, store: Optional[ScoreStore],
     the table fingerprint when known (warm runs never call
     :func:`fingerprint_table`, and key-only callers passing
     ``need_table=False`` skip the parse entirely); a fresh binding is
-    recorded otherwise.
+    recorded otherwise. File tables come from (and go to) the table
+    cache.
     """
     if isinstance(source, TableSource):
         table = source.table
@@ -228,9 +271,72 @@ def _resolve_source(source, store: Optional[ScoreStore],
     table_fp = None if store is None else store.resolve_source(source_fp)
     if table_fp is not None and not need_table:
         return source_fp, None, table_fp
-    table = source.resolve()
+    table = _cached_table(source_fp)
+    if table is None:
+        table = _cache_table(source_fp, source.resolve())
     if table_fp is None:
         table_fp = fingerprint_table(table)
         if store is not None:
             store.bind_source(source_fp, table_fp)
     return source_fp, table, table_fp
+
+
+# ----------------------------------------------------------------------
+# The parsed-table cache
+# ----------------------------------------------------------------------
+
+def _table_nbytes(table: EdgeTable) -> int:
+    size = table.src.nbytes + table.dst.nbytes + table.weight.nbytes
+    if table.labels is not None:
+        size += sum(map(sys.getsizeof, table.labels))
+    return size
+
+
+def _cached_table(source_fp: str) -> Optional[EdgeTable]:
+    """The cached table parsed under ``source_fp`` (counted hit/miss)."""
+    with _TABLE_CACHE_LOCK:
+        entry = _TABLE_CACHE.get(source_fp)
+        if entry is not None:
+            _TABLE_CACHE.move_to_end(source_fp)
+    if entry is None:
+        _TABLE_CACHE_MISSES.inc()
+        return None
+    _TABLE_CACHE_HITS.inc()
+    return entry[0]
+
+
+def _cache_table(source_fp: str, table: EdgeTable) -> EdgeTable:
+    """Freeze a freshly parsed table and keep it, evicting LRU entries
+    over :data:`TABLE_CACHE_BYTES`.
+
+    The parse runs before this, outside the lock, so two concurrent
+    misses may both parse; the first table kept wins and is returned to
+    both callers.
+    """
+    global _TABLE_CACHE_TOTAL
+    for column in (table.src, table.dst, table.weight):
+        column.flags.writeable = False
+    size = _table_nbytes(table)
+    if size > TABLE_CACHE_BYTES:
+        return table
+    with _TABLE_CACHE_LOCK:
+        entry = _TABLE_CACHE.get(source_fp)
+        if entry is not None:
+            return entry[0]
+        _TABLE_CACHE[source_fp] = (table, size)
+        _TABLE_CACHE_TOTAL += size
+        while _TABLE_CACHE_TOTAL > TABLE_CACHE_BYTES:
+            _, (_, stale) = _TABLE_CACHE.popitem(last=False)
+            _TABLE_CACHE_TOTAL -= stale
+            _TABLE_CACHE_EVICTIONS.inc()
+        _TABLE_CACHE_RESIDENT.set(_TABLE_CACHE_TOTAL)
+    return table
+
+
+def clear_table_cache() -> None:
+    """Drop every cached table (the next resolution parses again)."""
+    global _TABLE_CACHE_TOTAL
+    with _TABLE_CACHE_LOCK:
+        _TABLE_CACHE.clear()
+        _TABLE_CACHE_TOTAL = 0
+        _TABLE_CACHE_RESIDENT.set(0)

@@ -53,8 +53,10 @@ class FlowResult:
     failed), ``values`` the metric values aligned with the plan's
     metric specs, ``kept_share`` the backbone's share of the source's
     non-loop edges, and ``cache_key`` the score-store key the request
-    resolved to. ``table`` references the resolved source table
-    (shared across the batch, not a copy).
+    resolved to. ``table`` references the resolved source table — not
+    a copy: a file source's table is shared across batches through
+    the compile step's table cache, so its ``src``/``dst``/``weight``
+    arrays are read-only.
     """
 
     plan: Plan
@@ -136,7 +138,7 @@ def serve_compiled(compiled: Sequence[CompiledPlan],
                 else:
                     base_m = nonloop_m.get(id(item.table))
                     if base_m is None:
-                        base_m = item.table.without_self_loops().m
+                        base_m = item.table.nonloop_m
                         nonloop_m[id(item.table)] = base_m
                 kept = backbone.m / max(base_m, 1)
                 values = tuple(metric(backbone)

@@ -238,9 +238,11 @@ def _spool_dir() -> Path:
 
 
 def clear_fetch_cache() -> None:
-    """Forget every spooled fetch (the next access refetches)."""
+    """Delete every spooled fetch (the next access refetches)."""
     global _SPOOL_TOTAL
     with _SPOOL_LOCK:
+        for path in _SPOOLED.values():
+            path.unlink(missing_ok=True)
         _SPOOLED.clear()
         _SPOOL_SIZES.clear()
         _SPOOL_TOTAL = 0

@@ -190,6 +190,11 @@ class EdgeTable:
         """Number of stored edges (rows)."""
         return len(self.src)
 
+    @property
+    def nonloop_m(self) -> int:
+        """Number of non-loop rows, counted without building a table."""
+        return int(np.count_nonzero(self.src != self.dst))
+
     def __repr__(self) -> str:
         kind = "directed" if self.directed else "undirected"
         return (f"EdgeTable({kind}, n_nodes={self.n_nodes}, "

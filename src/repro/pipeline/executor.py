@@ -173,7 +173,7 @@ def _run_shard(shard: SweepShard, table: EdgeTable,
                            parameter_free=True)
     if method.parameter_free:
         backbone = method.extract_from_scores(scored)
-        share = backbone.m / max(table.without_self_loops().m, 1)
+        share = backbone.m / max(table.nonloop_m, 1)
         return SweepSeries(code=method.code, shares=[share],
                            values=[shard.metric(backbone)],
                            parameter_free=True)

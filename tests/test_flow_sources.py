@@ -404,6 +404,16 @@ class TestFetchSpoolLRU:
         assert not big.exists()
         assert sources._SPOOL_TOTAL == 10
 
+    def test_clear_deletes_spool_files(self, capped_spool):
+        sources = capped_spool
+        spooled = [sources._fetch("http://h/30"),
+                   sources._fetch("http://h/40")]
+        clear_fetch_cache()
+        # Files of URLs never fetched again must not linger uncounted
+        # beyond the byte cap.
+        assert not any(path.exists() for path in spooled)
+        assert sources._SPOOL_TOTAL == 0 and not sources._SPOOLED
+
     def test_eviction_refetches_transparently(self, capped_spool):
         sources = capped_spool
         first = sources._fetch("http://h/80")
