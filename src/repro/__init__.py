@@ -56,7 +56,7 @@ from .generators import (SyntheticWorld, add_noise, barabasi_albert,
                          planted_partition)
 from .graph import (EdgeTable, EdgeTableBuilder, Graph, read_edge_csv,
                     read_edges, write_edge_csv, write_edges)
-from .pipeline import Pipeline, ScoreStore
+from .pipeline import ScoreStore
 
 __version__ = "1.1.0"
 
@@ -74,7 +74,6 @@ __all__ = [
     "NoiseCorrectedBackbone",
     "NoiseCorrectedPValue",
     "Partition",
-    "Pipeline",
     "Plan",
     "RemoteSource",
     "ScoreStore",

@@ -370,6 +370,11 @@ def _build_plan(args: argparse.Namespace):
     return plan, kwargs
 
 
+def _input_error(error: OSError) -> int:
+    print(f"error: cannot read input: {error}", file=sys.stderr)
+    return 2
+
+
 def _run_backbone(args: argparse.Namespace) -> int:
     from .flow import StreamingUnsupported
 
@@ -388,14 +393,16 @@ def _run_backbone(args: argparse.Namespace) -> int:
     if getattr(args, "cache_dir", None) is not None:
         from .pipeline import ScoreStore
         store = ScoreStore(args.cache_dir)
-    if args.explain:
-        print(plan.explain(store=store))
-        return 0
     try:
+        if args.explain:
+            print(plan.explain(store=store))
+            return 0
         result = plan.run(store=store)
     except StreamingUnsupported as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except OSError as error:
+        return _input_error(error)
     backbone = result.backbone
     # Streamed plans carry a TableSummary instead of the parsed table;
     # it answers everything the report needs (m, non_isolated_count).
@@ -411,7 +418,10 @@ def _run_backbone(args: argparse.Namespace) -> int:
 def _run_score(args: argparse.Namespace) -> int:
     plan, _ = _build_plan(args)
     method = plan.method_spec.build()
-    scored = plan.scores()
+    try:
+        scored = plan.scores()
+    except OSError as error:
+        return _input_error(error)
     with open(args.output, "w", newline="") as handle:
         writer = csv.writer(handle)
         header = ["src", "dst", "weight", "score"]
@@ -510,10 +520,13 @@ def _run_sweep(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    series = run_sweep_plans(methods, flow(args.input,
-                                           directed=args.directed),
-                             metric, shares=shares, store=store,
-                             workers=args.workers)
+    try:
+        series = run_sweep_plans(methods, flow(args.input,
+                                               directed=args.directed),
+                                 metric, shares=shares, store=store,
+                                 workers=args.workers)
+    except OSError as error:
+        return _input_error(error)
 
     header = "share".rjust(7) + "".join(code.rjust(12) for code in codes)
     print(f"{args.metric} across shares of edges kept")

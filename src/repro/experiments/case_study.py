@@ -1,6 +1,6 @@
 """Section VI case study: skill relatedness and occupational labor flows.
 
-Pipeline, mirroring the paper:
+The steps, mirroring the paper:
 
 1. build the occupation skill co-occurrence network (synthetic O*NET);
 2. extract the NC backbone (δ filter) and a DF backbone of the same

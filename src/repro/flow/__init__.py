@@ -1,11 +1,11 @@
 """One declarative, fingerprinted request API from source to backbone.
 
-``repro.flow`` turns the library's four hand-wired entry points
-(``method.extract``, ``Pipeline``, ``sweep_methods``, the CLI) into a
-single shape: build a *plan* — a pure, picklable, fingerprinted
-description of source, method, budget and metrics — and hand it (or a
-whole batch of them) to the runtime, which lowers it onto the cached,
-sharded pipeline. Nothing touches data until ``.run()``.
+``repro.flow`` gives the library's entry points (``method.extract``,
+``sweep_methods``, the CLI, the daemon) a single shape: build a
+*plan* — a pure, picklable, fingerprinted description of source,
+method, budget and metrics — and hand it (or a whole batch of them)
+to the runtime, which lowers it onto the cached, sharded pipeline.
+Nothing touches data until ``.run()``.
 
 >>> from repro.flow import flow
 >>> from repro.graph.edge_table import EdgeTable

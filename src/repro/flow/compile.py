@@ -1,9 +1,8 @@
-"""Lowering plans onto the pipeline: tables, fingerprints, cache keys.
+"""Lowering plans onto data: tables, fingerprints, cache keys.
 
-Compilation is the step between the declarative :class:`Plan` and the
-existing execution machinery (:func:`repro.pipeline.executor.
-score_with_store`, backend spec strings, ``workers=``). For a batch of
-plans it
+Compilation is the step between the declarative :class:`Plan` and
+:func:`repro.flow.serve.serve`, the one engine that scores, filters
+and measures plans. For a batch of plans it
 
 1. resolves every *distinct* source exactly once — a file is hashed
    once per batch, however many plans point at it, and parsed at most
@@ -20,7 +19,11 @@ plans it
    measures retention against the input).
 
 The result, one :class:`CompiledPlan` per plan, is everything
-:func:`repro.flow.serve` needs to schedule scoring and apply filters.
+:func:`repro.flow.serve.serve` needs to schedule scoring and apply
+filters. :func:`build_method` (plan validation) and
+:func:`source_key` (which plans share one source resolution) are the
+two decisions ``serve`` also makes before compiling, so it can
+contain a bad plan or an unreadable source to the plans it affects.
 
 Parsed file tables are kept in a process-wide LRU keyed by the source
 fingerprint — the digest of the file's bytes plus its parse options,
@@ -132,11 +135,7 @@ def compile_plans(plans: Sequence[Plan], store: Optional[ScoreStore],
 def _compile_into(plans, store, need_tables, by_spec, streams, compiled,
                   allow_streaming):
     for plan in plans:
-        require(isinstance(plan, Plan),
-                f"serve expects Plan objects, got {type(plan).__name__}")
-        require(plan.method_spec is not None,
-                "plan has no method; call .method(code) before running")
-        method = plan.method_spec.build()
+        method = build_method(plan)
         if _wants_stream(plan, method, need_tables, allow_streaming):
             source_fp, stream = _resolve_stream(plan.source, store,
                                                 streams)
@@ -151,9 +150,7 @@ def _compile_into(plans, store, need_tables, by_spec, streams, compiled,
                                          budget=plan.budget_spec,
                                          metrics=metrics, stream=stream))
             continue
-        memo_key = (id(plan.source.table)
-                    if isinstance(plan.source, TableSource)
-                    else plan.source)
+        memo_key = source_key(plan.source)
         found = by_spec.get(memo_key)
         if found is None:
             found = _resolve_source(plan.source, store,
@@ -169,6 +166,24 @@ def _compile_into(plans, store, need_tables, by_spec, streams, compiled,
                                      source_fp=source_fp, method=method,
                                      key=key, budget=plan.budget_spec,
                                      metrics=metrics))
+
+
+def build_method(plan) -> BackboneMethod:
+    """Validate that ``plan`` is a :class:`Plan` with a method, and
+    build that method."""
+    if not isinstance(plan, Plan):
+        raise TypeError(f"expected a Plan, got {type(plan).__name__}")
+    require(plan.method_spec is not None,
+            "plan has no method; call .method(code) before running")
+    return plan.method_spec.build()
+
+
+def source_key(source) -> object:
+    """The key that decides which plans share one source resolution:
+    table sources by table identity, file and remote specs by value."""
+    if isinstance(source, TableSource):
+        return id(source.table)
+    return source
 
 
 def _wants_stream(plan, method, need_tables, allow_streaming) -> bool:

@@ -1,47 +1,53 @@
 """Batched execution: N plans, one scoring pass per distinct request.
 
-:func:`serve` is the service-shaped entry point the ROADMAP's
-"score once, filter many ways" north star asks for: hand it a batch of
-plans — many users, many deltas, many budgets, same sources — and it
+:func:`serve` is the one engine that runs scored work — ``Plan.run``,
+``sweep_methods(store=/workers=)``, the CLI and the long-lived daemon
+(:mod:`repro.serve`) all call it. Hand it a batch of plans — many
+users, many deltas, many budgets, same sources — and it
 
-1. compiles the batch (:mod:`repro.flow.compile`): each distinct
-   source parsed once, each plan lowered to a score-cache key;
-2. runs every *distinct* scoring request at most once, consulting the
+1. validates every plan on its own (it must be a :class:`Plan` with a
+   buildable method), so an object that is not a plan, a missing
+   method or an unknown parameter fails exactly one slot;
+2. compiles each *source group* on its own (:mod:`repro.flow.compile`:
+   each distinct source hashed and parsed once, each plan lowered to
+   a score-cache key), so a missing file or a parse error fails the
+   plans over that source and nobody else;
+3. serves everything that compiled as *one* batch: every distinct
+   scoring request runs at most once, consulting the
    :class:`~repro.pipeline.store.ScoreStore` first and fanning cold
-   requests out across worker processes (the same ``workers=`` knob
-   and backend-spec reopening as the sweep executor; memory-only
-   stores have worker results shipped back and adopted, exactly like
-   :meth:`~repro.pipeline.executor.Pipeline.warm`);
-3. applies each plan's filter and metrics serially — cheap compared
-   to scoring, and share-budget plans over one scored table share a
-   single ranking pass (``top_share_many``, bit-identical to
-   per-plan filtering by contract).
+   requests out across worker processes (workers reopen the store's
+   backend spec; a memory-only store has worker results shipped back
+   and adopted), then each plan's filter and metrics are applied
+   serially — share-budget plans over one scored table share a single
+   ranking pass (``top_share_many``, bit-identical to per-plan
+   filtering by contract).
 
-Per-plan failures are *isolated*: any scoring, filtering or metric
-exception — the deterministic Sinkhorn non-convergence (recorded as a
-negative cache entry), a budget that the method rejects, an unexpected
-bug in one method — is surfaced as that plan's :attr:`FlowResult.error`
-instead of poisoning the batch; :meth:`Plan.run` re-raises it to match
-the legacy single-call path bit for bit. A worker process dying
-mid-batch degrades to a serial re-run of the lost scoring requests
-(see :func:`repro.util.parallel.parallel_map`); it never surfaces a
-raw ``BrokenProcessPool``. :func:`serve_compiled` is the
-already-compiled entry point the long-lived daemon
-(:mod:`repro.serve`) builds on to add compile-time isolation too.
+Failures are *isolated* per plan: a validation or compile error, the
+deterministic Sinkhorn non-convergence (recorded as a negative cache
+entry), a budget that the method rejects or an unexpected bug in one
+method is surfaced as that plan's :attr:`FlowResult.error` instead of
+poisoning the batch; :meth:`Plan.run` re-raises it to match the
+legacy single-call path bit for bit. A worker process dying mid-batch
+degrades to a serial re-run of the lost scoring requests (see
+:func:`repro.util.parallel.parallel_map`); it never surfaces a raw
+``BrokenProcessPool``.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..backbones.base import BackboneMethod, ScoredEdges
 from ..backbones.doubly_stochastic import SinkhornConvergenceError
 from ..graph.edge_table import EdgeTable
 from ..obs.trace import span
-from ..pipeline.executor import score_with_store
+from ..pipeline.fingerprint import fingerprint_score_request
 from ..pipeline.store import ScoreStore
 from ..util.parallel import parallel_map, resolve_workers
-from .compile import CompiledPlan, compile_plans
+from .compile import (CompiledPlan, build_method, compile_plans,
+                      source_key)
 from .plan import Plan
 
 
@@ -53,10 +59,11 @@ class FlowResult:
     failed), ``values`` the metric values aligned with the plan's
     metric specs, ``kept_share`` the backbone's share of the source's
     non-loop edges, and ``cache_key`` the score-store key the request
-    resolved to. ``table`` references the resolved source table — not
-    a copy: a file source's table is shared across batches through
-    the compile step's table cache, so its ``src``/``dst``/``weight``
-    arrays are read-only.
+    resolved to (empty when the plan failed before compiling).
+    ``table`` references the resolved source table — not a copy: a
+    file source's table is shared across batches through the compile
+    step's table cache, so its ``src``/``dst``/``weight`` arrays are
+    read-only.
     """
 
     plan: Plan
@@ -81,34 +88,64 @@ class FlowResult:
         return dict(zip(keys, self.values))
 
 
-def serve(plans: Sequence[Plan], store: Optional[ScoreStore] = None,
+def serve(plans: Sequence[object], store: Optional[ScoreStore] = None,
           workers: Optional[int] = None) -> List[FlowResult]:
     """Execute a batch of plans; see the module docstring.
 
-    ``store`` defaults to a fresh memory-only :class:`ScoreStore`, so
-    deduplication across the batch always happens; pass a persistent
-    store (or backend spec via ``ScoreStore("…")``) to reuse scores
-    across batches and processes. Results are returned in plan order.
+    Accepts anything — objects that are not plans, plans without a
+    method, plans over unreadable sources — and always returns one
+    :class:`FlowResult` per input, in input order, failed slots
+    carrying the exception in ``.error``. ``store`` defaults to a
+    fresh memory-only :class:`ScoreStore`, so deduplication across the
+    batch always happens; pass a persistent store (or backend spec via
+    ``ScoreStore("…")``) to reuse scores across batches and processes.
     """
     plans = list(plans)
-    if not plans:
-        return []
     if store is None:
         store = ScoreStore()
-    compiled = compile_plans(plans, store)
-    return serve_compiled(compiled, store, workers)
+    results: List[Optional[FlowResult]] = [None] * len(plans)
+
+    def fail(index: int, error: Exception) -> None:
+        results[index] = FlowResult(plan=plans[index], cache_key="",
+                                    error=error)
+
+    # Ring 1: per-plan validation, then group by source.
+    groups: Dict[object, List[int]] = {}
+    for index, plan in enumerate(plans):
+        try:
+            build_method(plan)
+        except Exception as error:
+            fail(index, error)
+        else:
+            groups.setdefault(source_key(plan.source), []).append(index)
+
+    # Ring 2: compile per source group, so same-source plans still
+    # share one hash + parse. compile_plans is looked up as this
+    # module's global on purpose: layer probes wrap it here.
+    compiled: List[CompiledPlan] = []
+    compiled_indices: List[int] = []
+    for indices in groups.values():
+        try:
+            group = compile_plans([plans[i] for i in indices], store)
+        except Exception as error:
+            for index in indices:
+                fail(index, error)
+        else:
+            compiled.extend(group)
+            compiled_indices.extend(indices)
+
+    # Ring 3: one batch for everything that compiled, so scoring
+    # deduplication spans every surviving plan.
+    for index, result in zip(compiled_indices,
+                             _execute_compiled(compiled, store, workers)):
+        results[index] = result
+    return results
 
 
-def serve_compiled(compiled: Sequence[CompiledPlan],
-                   store: ScoreStore,
-                   workers: Optional[int] = None) -> List[FlowResult]:
-    """Score, filter and measure an already-compiled batch.
-
-    The execution half of :func:`serve`, split out so callers that
-    compile with their own isolation policy (the daemon compiles per
-    source group to contain unreadable sources) reuse the exact same
-    scheduling, deduplication and per-plan error handling.
-    """
+def _execute_compiled(compiled: Sequence[CompiledPlan],
+                      store: ScoreStore,
+                      workers: Optional[int] = None) -> List[FlowResult]:
+    """Score, filter and measure an already-compiled batch."""
     scored_by_key, error_by_key = _score_batch(compiled, store, workers)
     stream_backbones, stream_errors = _serve_streams(
         compiled, scored_by_key, error_by_key)
@@ -160,6 +197,26 @@ def serve_compiled(compiled: Sequence[CompiledPlan],
 # ----------------------------------------------------------------------
 # Scoring
 # ----------------------------------------------------------------------
+
+def score_with_store(method: BackboneMethod, table: EdgeTable,
+                     store: Optional[ScoreStore],
+                     key: Optional[str] = None) -> ScoredEdges:
+    """``method.score(table)``, served from ``store`` when possible.
+
+    ``key`` accepts a precomputed fingerprint so batches hash the
+    table once instead of once per method.
+
+    The ``score`` span's ``pid`` attribute tells worker-process
+    scoring apart from in-parent scoring in an exported trace.
+    """
+    with span("score", method=method.name, pid=os.getpid()):
+        if store is None:
+            return method.score(table)
+        if key is None:
+            key = fingerprint_score_request(table, method)
+        return store.get_or_compute(key, lambda: method.score(table),
+                                    label=method.name)
+
 
 def _score_batch(compiled: Sequence[CompiledPlan], store: ScoreStore,
                  workers: Optional[int]):
@@ -232,10 +289,9 @@ def _score_batch(compiled: Sequence[CompiledPlan], store: ScoreStore,
 def _score_remote(payload) -> Tuple[object, tuple]:
     """Worker-side scoring (module-level for picklability).
 
-    Mirrors the executor's worker contract: with a reopenable backend
-    spec the worker writes straight through it; with a memory-only
-    parent the worker ships its entries (scored tables and negative
-    verdicts alike) back for adoption.
+    With a reopenable backend spec the worker writes straight through
+    it; with a memory-only parent the worker ships its entries (scored
+    tables and negative verdicts alike) back for adoption.
     """
     method, table, spec, key = payload
     store = ScoreStore(spec)

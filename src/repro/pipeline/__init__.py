@@ -1,46 +1,37 @@
-"""Cached, sharded sweep/experiment orchestration.
+"""Content-addressed score cache and the sweep metrics.
 
-The pipeline subsystem turns the library's one-shot "score then filter"
-calls into a service-shaped workload: scored tables are content-
-addressed and cached (:class:`ScoreStore`), whole sweeps are described
-as independent shards (:mod:`repro.pipeline.tasks`) and executed
-serially or across worker processes (:mod:`repro.pipeline.executor`),
-and :class:`Pipeline` serves repeated budget-matched extraction
-requests over one scored graph without ever rescoring.
+The pipeline subsystem is the storage half of "score once, filter many
+ways": scored tables are fingerprinted (:mod:`repro.pipeline.
+fingerprint`) and cached in a :class:`ScoreStore`, and the sweep
+metrics (:mod:`repro.pipeline.tasks`) are picklable so batches can
+cross process boundaries. Execution lives in one place,
+:func:`repro.flow.serve`; every request is a plan::
 
-Typical use::
-
-    from repro.pipeline import Pipeline, ScoreStore, run_sweep
+    from repro.flow import flow
+    from repro.pipeline import ScoreStore
 
     store = ScoreStore(".repro-cache")          # disk + LRU tiers
-    pipe = Pipeline(store=store, workers=-1)
-    scored = pipe.score(method, table)           # cached
-    backbone = pipe.extract(method, table, share=0.1)   # no rescore
-    series = pipe.sweep(methods, table, DensityMetric())
+    plan = flow(table).method(method)
+    scored = plan.scores(store=store)            # cached
+    backbone = plan.budget(share=0.1).run(store=store).backbone
 
 The persistent tier is pluggable (:mod:`repro.pipeline.backends`):
 ``ScoreStore("scores.sqlite")`` keeps the cache in one WAL-mode SQLite
 file, ``ScoreStore(backend=KVBackend(...))`` talks to a remote-style
 key-value service, and ``store.gc(max_bytes=...)`` evicts
 least-recently-used entries from any of them.
-
-Cached, sharded and serial paths are bit-identical by construction;
-see :mod:`repro.pipeline.executor` for the contract.
 """
 
 from .backends import (DirectoryBackend, GCPolicy, GCResult, KVBackend,
                        NegativeEntry, SQLiteBackend, StoreBackend,
                        open_backend)
-from .executor import (Pipeline, SweepOutcome, execute, run_sweep,
-                       score_with_store)
 from .fingerprint import (canonical_json, fingerprint_file,
                           fingerprint_method, fingerprint_score_request,
                           fingerprint_source_request, fingerprint_table,
                           method_config)
 from .store import CacheStats, ScoreStore
 from .tasks import (AverageDegreeMetric, CoverageMetric, DensityMetric,
-                    EdgeCountMetric, METRIC_BUILDERS, StabilityMetric,
-                    SweepGraph, SweepShard, named_metric, plan_sweep)
+                    EdgeCountMetric, METRIC_BUILDERS, StabilityMetric)
 
 __all__ = [
     "AverageDegreeMetric",
@@ -54,25 +45,16 @@ __all__ = [
     "KVBackend",
     "METRIC_BUILDERS",
     "NegativeEntry",
-    "Pipeline",
     "SQLiteBackend",
     "ScoreStore",
     "StoreBackend",
     "StabilityMetric",
-    "SweepGraph",
-    "SweepOutcome",
-    "SweepShard",
     "canonical_json",
-    "execute",
     "fingerprint_file",
     "fingerprint_method",
     "fingerprint_score_request",
     "fingerprint_source_request",
     "fingerprint_table",
     "method_config",
-    "named_metric",
     "open_backend",
-    "plan_sweep",
-    "run_sweep",
-    "score_with_store",
 ]

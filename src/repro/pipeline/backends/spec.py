@@ -1,9 +1,9 @@
 """One grammar for backend spec strings, shared by every consumer.
 
 ``ScoreStore(cache_dir=...)``, worker reconnection
-(``ScoreStore.worker_spec()`` → executor → ``from_worker_spec``),
-``repro cache --dir`` and ``repro serve --cache-dir`` all accept the
-same strings; historically each call site re-implemented the prefix
+(``ScoreStore.worker_spec()`` → :func:`repro.flow.serve` →
+``from_worker_spec``), ``repro cache --dir`` and ``repro serve
+--cache-dir`` all accept the same strings; historically each call site re-implemented the prefix
 sniffing. :func:`parse_spec` is now the single parser and
 :func:`build_backend` the single constructor — a new scheme lands in
 one place and every entry point learns it at once.

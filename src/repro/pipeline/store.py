@@ -23,8 +23,8 @@ on an unbalanceable network — is recorded once as a
 later :meth:`ScoreStore.get_or_compute`, instead of re-running the
 1000-iteration probe on every sweep.
 
-All traffic is counted in :class:`CacheStats`, which the executor
-surfaces so sweeps can report hit rates alongside their results, and
+All traffic is counted in :class:`CacheStats`, which sweeps and the
+CLI surface so they can report hit rates alongside their results, and
 :meth:`ScoreStore.gc` applies an LRU eviction policy
 (:class:`~repro.pipeline.backends.GCPolicy`) to the persistent tier.
 
@@ -285,8 +285,8 @@ class ScoreStore:
     def adopt(self, key: str, entry) -> None:
         """Insert an entry computed elsewhere without counting traffic.
 
-        The executor folds worker-computed scores (or negative
-        verdicts) into the parent store through this: the worker's own
+        :func:`repro.flow.serve` folds worker-computed scores (or
+        negative verdicts) into the parent store through this: the worker's own
         store already counted the miss and the put, so adopting must
         not double-count (and must not rewrite a complete persistent
         entry the worker already produced).

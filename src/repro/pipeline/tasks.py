@@ -1,42 +1,27 @@
-"""Declarative sweep task graphs.
+"""Picklable sweep metrics.
 
-A share sweep (the workload behind paper Figs. 7-8 and Table II) is a
-three-stage computation per method::
-
-    score(table)  ->  filter at each share  ->  metric on each backbone
-
-The stages for *different methods* are completely independent, so a
-sweep decomposes into one :class:`SweepShard` per method. This module
-only *describes* that decomposition; :mod:`repro.pipeline.executor`
-decides whether shards run serially, against a cache, or fanned out
-across worker processes.
-
-Everything here must survive ``pickle`` (shards cross process
-boundaries), which is why metrics are small module-level callable
-classes instead of the closures the experiment modules used to build:
+A share sweep (the workload behind paper Figs. 7-8 and Table II)
+evaluates one metric on every backbone it extracts. Batches cross
+process boundaries (``workers=``) and plans are fingerprinted, so
+metrics are small module-level callable classes instead of the
+closures the experiment modules used to build:
 ``CoverageMetric(table)`` replaces ``lambda b: coverage(table, b)``
-with identical results.
+with identical results. :data:`METRIC_BUILDERS` names the ones plans
+and the CLI accept as strings (see :class:`repro.flow.MetricSpec`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Tuple
 
-from ..backbones.base import BackboneMethod
 from ..evaluation.coverage import coverage
 from ..evaluation.stability import average_stability
-from ..evaluation.sweep import DEFAULT_SHARES
 from ..graph.edge_table import EdgeTable
 from ..graph.metrics import average_degree, density
-from ..util.validation import require
 
 Metric = Callable[[EdgeTable], float]
 
-
-# ----------------------------------------------------------------------
-# Picklable metric specs
-# ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class CoverageMetric:
@@ -82,7 +67,8 @@ class EdgeCountMetric:
         return float(backbone.m)
 
 
-#: Metric names accepted by the CLI ``sweep`` subcommand.
+#: Metric names accepted by :class:`repro.flow.MetricSpec` and the
+#: CLI ``sweep`` subcommand.
 METRIC_BUILDERS: Dict[str, Callable[[EdgeTable], Metric]] = {
     "coverage": lambda table: CoverageMetric(table),
     "density": lambda table: DensityMetric(),
@@ -90,56 +76,3 @@ METRIC_BUILDERS: Dict[str, Callable[[EdgeTable], Metric]] = {
     "edges": lambda table: EdgeCountMetric(),
 }
 
-
-def named_metric(name: str, table: EdgeTable) -> Metric:
-    """Resolve a CLI metric name against the input ``table``."""
-    require(name in METRIC_BUILDERS,
-            f"unknown metric {name!r}; choose from "
-            f"{sorted(METRIC_BUILDERS)}")
-    return METRIC_BUILDERS[name](table)
-
-
-# ----------------------------------------------------------------------
-# Task graph
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SweepShard:
-    """One independent unit of sweep work: a single method's series.
-
-    ``shares`` is empty for parameter-free methods — they contribute one
-    point at their natural share instead of a filtered series.
-    """
-
-    method: BackboneMethod
-    shares: Tuple[float, ...]
-    metric: Metric
-
-    @property
-    def code(self) -> str:
-        return self.method.code
-
-
-@dataclass(frozen=True)
-class SweepGraph:
-    """A whole sweep: a shared input table plus independent shards."""
-
-    table: EdgeTable
-    shards: Tuple[SweepShard, ...] = field(default=())
-
-    @property
-    def codes(self) -> List[str]:
-        return [shard.code for shard in self.shards]
-
-
-def plan_sweep(methods: Sequence[BackboneMethod], table: EdgeTable,
-               metric: Metric,
-               shares: Sequence[float] = DEFAULT_SHARES) -> SweepGraph:
-    """Describe ``sweep_methods(methods, table, metric, shares)`` as shards."""
-    require(len(methods) > 0, "plan_sweep needs at least one method")
-    shards = tuple(
-        SweepShard(method=method,
-                   shares=() if method.parameter_free else tuple(shares),
-                   metric=metric)
-        for method in methods)
-    return SweepGraph(table=table, shards=shards)

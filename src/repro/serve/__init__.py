@@ -5,16 +5,17 @@ one declarative, deduplicated call; this package keeps that machinery
 *running*: :class:`BackboneDaemon` is a stdlib-only HTTP service with a
 persistent warm :class:`~repro.pipeline.store.ScoreStore`, a worker
 pool, and an admission window that coalesces concurrent requests from
-different clients into single scoring passes. :class:`ServeClient`
-talks to it; :func:`serve_isolated` is the compile-isolated batch
-engine the daemon runs (usable standalone); :mod:`repro.serve.faults`
+different clients into single scoring passes. Each window runs as one
+:func:`repro.flow.serve` batch — the same call the library makes, so
+the daemon and the library share one failure contract.
+:class:`ServeClient` talks to the daemon; :mod:`repro.serve.faults`
 is the chaos harness that proves the degradation story:
 
 ===========================  =======================================
 failure                      degradation
 ===========================  =======================================
 cache backend unreachable    memory-only recompute, ``degraded`` flag
-worker process killed        serial retry of the lost shards
+worker process killed        serial retry of the lost requests
 one plan's scoring fails     structured error for that plan only
 malformed plan artifact      structured error for that slot only
 request deadline expires     504 to that client; batch still warms
@@ -30,11 +31,10 @@ from ..flow import serve as _serve_batch
 from .client import ServeClient, ServeError
 from .daemon import (PROTOCOL_VERSION, BackboneDaemon, DaemonStats,
                      DeadlineExceeded)
-from .engine import serve_isolated
 
 __all__ = [
     "BackboneDaemon", "DaemonStats", "DeadlineExceeded",
-    "PROTOCOL_VERSION", "ServeClient", "ServeError", "serve_isolated",
+    "PROTOCOL_VERSION", "ServeClient", "ServeError",
 ]
 
 

@@ -11,9 +11,10 @@ rather than a script is what it keeps warm and what it survives:
   client to ask for a scored table gets it from cache, whichever
   client paid for it.
 * **Admission window.** Requests arriving within ``batch_window``
-  seconds are coalesced into a single
-  :func:`~repro.serve.engine.serve_isolated` batch, which dedupes
-  source parsing and scoring *across clients*: eight clients asking
+  seconds are coalesced into a single :func:`repro.flow.serve`
+  batch, which dedupes source parsing and scoring *across clients*
+  (the library's own batch call, so both share one failure
+  contract): eight clients asking
   for eight NC deltas over one file trigger exactly one scoring pass.
 * **Deadlines.** Every request carries a deadline (client-supplied or
   the daemon default). A request whose deadline passes while queued is
@@ -22,7 +23,7 @@ rather than a script is what it keeps warm and what it survives:
   the store for the retry. The daemon stays healthy either way.
 * **Degradation, not collapse.** Per-plan failures come back as
   structured errors for that plan only (see
-  :mod:`repro.serve.engine`); a cache-backend outage flips the store
+  :mod:`repro.flow.serve`); a cache-backend outage flips the store
   to memory-only recompute and the response carries a ``degraded``
   flag; a worker process dying mid-batch is retried serially by the
   pool layer. A batch-level surprise marks every affected request
@@ -70,12 +71,11 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..flow.plan import Plan
-from ..flow.serve import FlowResult
+from ..flow.serve import FlowResult, serve
 from ..obs.export import render_prometheus, trace_to_dict
 from ..obs.metrics import MetricsRegistry, get_registry, make_family
 from ..obs.trace import TRACER, Span, trace
 from ..pipeline.store import PathLike, ScoreStore
-from .engine import serve_isolated
 
 logger = logging.getLogger(__name__)
 
@@ -97,7 +97,7 @@ _STAT_HELP = {
     "requests": "POST /v1/run requests admitted.",
     "plans": "Plan slots served (structured errors included).",
     "plan_errors": "Plan slots answered with a structured error.",
-    "batches": "serve_isolated batch executions.",
+    "batches": "Batch executions (one flow.serve call each).",
     "coalesced_batches": "Batches that merged two or more requests.",
     "cancelled":
         "Tickets dropped with an expired deadline while queued.",
@@ -238,7 +238,7 @@ class BackboneDaemon:
             "Time requests spend queued in the admission window.")
         self._batch_hist = self.registry.histogram(
             "repro_daemon_batch_exec_seconds",
-            "serve_isolated execution time per batch.")
+            "flow.serve execution time per batch.")
         self._request_hist = self.registry.histogram(
             "repro_daemon_request_seconds",
             "Admission-to-results latency per served request.")
@@ -401,13 +401,13 @@ class BackboneDaemon:
             if any(ticket.trace for ticket in live):
                 with trace("serve.batch", plans=len(plans),
                            clients=len(live)) as trace_root:
-                    results = serve_isolated(plans, store=self.store,
-                                             workers=self.workers)
+                    results = serve(plans, store=self.store,
+                                    workers=self.workers)
             else:
-                results = serve_isolated(plans, store=self.store,
-                                         workers=self.workers)
+                results = serve(plans, store=self.store,
+                                workers=self.workers)
         except Exception:
-            # serve_isolated isolates per plan; reaching here means a
+            # flow.serve isolates per plan; reaching here means a
             # genuine engine bug. Fail these requests, not the daemon.
             logger.exception("batch execution failed; failing %d "
                              "requests and continuing", len(live))

@@ -17,8 +17,9 @@ exceptions propagate unchanged, while pool failures surface as a typed
 :class:`WorkerPoolError` carrying the ids (input indices) of the tasks
 whose results were lost. Callers that must survive worker death pass
 ``retry_serial=True`` and the lost tasks are transparently re-run in
-the parent process instead — the documented degradation path the serve
-daemon and the sweep executor rely on.
+the parent process instead — the documented degradation path
+:func:`repro.flow.serve` (and so the daemon and cached sweeps) relies
+on.
 """
 
 from __future__ import annotations

@@ -284,8 +284,8 @@ class TestSweepFileFingerprint:
         derives its cache keys from the streamed file fingerprint and
         the stored source binding — fingerprint_table is never called
         (so key derivation needs no parse)."""
+        from repro.flow import compile as compile_mod
         import repro.pipeline as pipeline_pkg
-        import repro.pipeline.executor as executor_mod
 
         cache = tmp_path / "cache"
         argv = ["sweep", str(edges_csv), "--methods", "NT,NC",
@@ -298,10 +298,10 @@ class TestSweepFileFingerprint:
                                  "file sweep")
 
         # Guard both import sites: the CLI's late package import and
-        # the executor's module-level binding.
+        # the flow compiler's module-level binding.
         monkeypatch.setattr(pipeline_pkg, "fingerprint_table",
                             forbidden)
-        monkeypatch.setattr(executor_mod, "fingerprint_table",
+        monkeypatch.setattr(compile_mod, "fingerprint_table",
                             forbidden)
         assert main(argv) == 0
 
@@ -349,6 +349,24 @@ class TestScoreCommand:
         main(["score", str(edges_csv), str(out)])
         original = read_edge_csv(edges_csv, directed=False)
         assert len(out.read_text().splitlines()) == original.m + 1
+
+
+class TestMissingInput:
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "{missing}", "--methods", "NT"],
+        ["backbone", "{missing}", "{out}", "--method", "NT",
+         "--share", "0.1"],
+        ["score", "{missing}", "{out}", "--method", "NC"],
+    ], ids=["sweep", "backbone", "score"])
+    def test_missing_input_is_a_clean_error(self, argv, tmp_path,
+                                            capsys):
+        paths = {"missing": str(tmp_path / "missing.csv"),
+                 "out": str(tmp_path / "out.csv")}
+        code = main([arg.format(**paths) for arg in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: cannot read input: ")
+        assert "missing.csv" in err and "Traceback" not in err
 
 
 class TestInfoCommand:

@@ -1,9 +1,10 @@
 """Tests for the repro.pipeline subsystem.
 
-Covers the cache-correctness contract of ISSUE 2: fingerprints identify
-content exactly, cached ``ScoredEdges`` round-trip bit-identically,
-poisoned store entries are detected and recomputed (never served), and
-cached/sharded sweep execution matches the plain serial path.
+Covers the cache-correctness contract: fingerprints identify content
+exactly, cached ``ScoredEdges`` round-trip bit-identically, poisoned
+store entries are detected and recomputed (never served), and cached
+or sharded execution through :func:`repro.flow.serve` (plans and
+``sweep_methods(store=/workers=)``) matches the plain serial path.
 """
 
 import json
@@ -24,12 +25,12 @@ from repro.backbones.registry import paper_methods
 from repro.core.noise_corrected import (NoiseCorrectedBackbone,
                                         NoiseCorrectedPValue)
 from repro.evaluation.sweep import sweep_methods
+from repro.flow import MetricSpec, flow, serve, sweep_plans
+from repro.flow.serve import score_with_store
+from repro.flow.sweep import run_sweep_plans
 from repro.graph.edge_table import EdgeTable
-from repro.pipeline import (CoverageMetric, DensityMetric, Pipeline,
-                            ScoreStore, fingerprint_method,
-                            fingerprint_table, named_metric, plan_sweep,
-                            run_sweep)
-from repro.pipeline.executor import execute, score_with_store
+from repro.pipeline import (CoverageMetric, DensityMetric, ScoreStore,
+                            fingerprint_method, fingerprint_table)
 
 
 def random_table(seed: int, n_nodes: int = 24, n_edges: int = 80,
@@ -107,10 +108,12 @@ class TestFingerprints:
 
     def test_nc_delta_variants_share_one_cache_entry(self, tmp_path):
         table = random_table(24)
-        pipe = Pipeline(cache_dir=tmp_path)
-        loose = pipe.extract(NoiseCorrectedBackbone(delta=0.5), table)
-        strict = pipe.extract(NoiseCorrectedBackbone(delta=3.0), table)
-        assert pipe.stats.misses == 1 and pipe.stats.hits == 1
+        store = ScoreStore(tmp_path)
+        loose = flow(table).method(NoiseCorrectedBackbone(delta=0.5)) \
+            .run(store=store).backbone
+        strict = flow(table).method(NoiseCorrectedBackbone(delta=3.0)) \
+            .run(store=store).backbone
+        assert store.stats.misses == 1 and store.stats.hits == 1
         assert loose == NoiseCorrectedBackbone(delta=0.5).extract(table)
         assert strict == NoiseCorrectedBackbone(delta=3.0).extract(table)
 
@@ -259,7 +262,30 @@ class TestScoreStorePoisoning:
         assert store.get("key") is None
 
 
+class RaisingMetric:
+    """A metric with a bug: the sweep must surface it, not hide it."""
+
+    def __call__(self, backbone):
+        raise RuntimeError("metric bug")
+
+
+def counting_scores(monkeypatch, *classes):
+    """Record the code of every ``score`` call on ``classes``."""
+    scored_codes = []
+    for cls in classes:
+        original = cls.score
+
+        def counting(self, arg, _original=original):
+            scored_codes.append(self.code)
+            return _original(self, arg)
+
+        monkeypatch.setattr(cls, "score", counting)
+    return scored_codes
+
+
 class TestExecutor:
+    """Cached and sharded sweeps: ``sweep_methods(store=/workers=)``."""
+
     def test_cached_and_sharded_match_serial(self, tmp_path):
         table = random_table(10, n_nodes=30, n_edges=140)
         methods = paper_methods()
@@ -276,16 +302,11 @@ class TestExecutor:
     def test_warm_store_skips_rescoring(self, tmp_path, monkeypatch):
         table = random_table(11)
         store = ScoreStore(tmp_path)
-        run_sweep([NaiveThreshold()], table, DensityMetric(), store=store)
-        calls = []
-        original = NaiveThreshold.score
-
-        def counting(self, arg):
-            calls.append(1)
-            return original(self, arg)
-
-        monkeypatch.setattr(NaiveThreshold, "score", counting)
-        run_sweep([NaiveThreshold()], table, DensityMetric(), store=store)
+        sweep_methods([NaiveThreshold()], table, DensityMetric(),
+                      store=store)
+        calls = counting_scores(monkeypatch, NaiveThreshold)
+        sweep_methods([NaiveThreshold()], table, DensityMetric(),
+                      store=store)
         assert calls == []
 
     def test_interrupted_sweep_resumes_from_store(self, tmp_path,
@@ -294,20 +315,14 @@ class TestExecutor:
         store = ScoreStore(tmp_path)
         methods = [NaiveThreshold(), DisparityFilter(),
                    NoiseCorrectedBackbone()]
-        # "Interruption": only the first two shards completed.
-        run_sweep(methods[:2], table, DensityMetric(), store=store)
-        scored_codes = []
-        for cls in (NaiveThreshold, DisparityFilter,
-                    NoiseCorrectedBackbone):
-            original = cls.score
-
-            def counting(self, arg, _original=original):
-                scored_codes.append(self.code)
-                return _original(self, arg)
-
-            monkeypatch.setattr(cls, "score", counting)
-        result = run_sweep(methods, table, DensityMetric(), store=store)
-        assert scored_codes == ["NC"]  # only the missing shard scored
+        # "Interruption": only the first two methods completed.
+        sweep_methods(methods[:2], table, DensityMetric(), store=store)
+        scored_codes = counting_scores(monkeypatch, NaiveThreshold,
+                                       DisparityFilter,
+                                       NoiseCorrectedBackbone)
+        result = sweep_methods(methods, table, DensityMetric(),
+                               store=store)
+        assert scored_codes == ["NC"]  # only the missing method scored
         assert set(result) == {"NT", "DF", "NC"}
 
     def test_memory_only_store_caches_across_workers(self):
@@ -315,34 +330,34 @@ class TestExecutor:
         table = random_table(23)
         store = ScoreStore()  # memory-only
         methods = [NaiveThreshold(), DisparityFilter()]
-        first = run_sweep(methods, table, DensityMetric(), store=store,
-                          workers=2)
+        first = sweep_methods(methods, table, DensityMetric(),
+                              store=store, workers=2)
         assert len(store) == 2  # worker results adopted by the parent
         assert store.stats.puts == 2 and store.stats.misses == 2
-        second = run_sweep(methods, table, DensityMetric(), store=store)
+        # The parent's serving pass already reads the adopted entries.
+        hits = store.stats.memory_hits
+        assert hits == 2
+        second = sweep_methods(methods, table, DensityMetric(),
+                               store=store)
         assert first == second
-        assert store.stats.memory_hits == 2  # served without rescoring
+        assert store.stats.memory_hits - hits == 2  # no rescoring
 
     def test_warm_parent_store_serves_sharded_sweeps(self, monkeypatch):
         # Regression: a warm memory-only store must be consulted before
-        # shipping shards to workers, or everything is recomputed.
+        # shipping scoring requests to workers, or everything is
+        # recomputed.
         table = random_table(25)
         store = ScoreStore()
-        run_sweep([NaiveThreshold()], table, DensityMetric(), store=store)
-        calls = []
-        original = NaiveThreshold.score
-
-        def counting(self, arg):
-            calls.append(1)
-            return original(self, arg)
-
-        monkeypatch.setattr(NaiveThreshold, "score", counting)
-        run_sweep([NaiveThreshold()], table, DensityMetric(),
-                  store=store, workers=2)
+        sweep_methods([NaiveThreshold()], table, DensityMetric(),
+                      store=store)
+        calls = counting_scores(monkeypatch, NaiveThreshold)
+        sweep_methods([NaiveThreshold()], table, DensityMetric(),
+                      store=store, workers=2)
         assert calls == []  # served from the parent memory tier
-        pipe = Pipeline(store=store)
-        assert pipe.warm([NaiveThreshold()], table, workers=2) == 1
-        assert calls == []  # warm also skips already-cached methods
+        results = serve([flow(table).method(NaiveThreshold())
+                         .budget(share=0.5)], store=store, workers=2)
+        assert results[0].ok
+        assert calls == []  # a served batch skips cached methods too
 
     def test_unscorable_method_maps_to_empty_series(self):
         class Unbalanceable(NaiveThreshold):
@@ -350,9 +365,26 @@ class TestExecutor:
                 raise SinkhornConvergenceError("nope")
 
         table = random_table(13)
-        series = run_sweep([Unbalanceable()], table, DensityMetric(),
-                           store=ScoreStore())
+        series = sweep_methods([Unbalanceable()], table, DensityMetric(),
+                               store=ScoreStore())
         assert series["NT"].shares == [] and series["NT"].values == []
+
+    @pytest.mark.parametrize("case", ["serial", "store", "missing-file"])
+    def test_other_errors_are_raised_not_mapped_to_na(self, case,
+                                                      tmp_path):
+        # Only Sinkhorn non-convergence is the paper's "n/a" cell; a
+        # buggy metric or an unreadable source must surface on the
+        # cached path exactly as on the serial one.
+        if case == "missing-file":
+            with pytest.raises(FileNotFoundError):
+                run_sweep_plans([NaiveThreshold()],
+                                str(tmp_path / "missing.csv"),
+                                DensityMetric(), store=ScoreStore())
+            return
+        store = None if case == "serial" else ScoreStore()
+        with pytest.raises(RuntimeError, match="metric bug"):
+            sweep_methods([NaiveThreshold()], random_table(13),
+                          RaisingMetric(), store=store)
 
     def test_parameter_free_series_matches_serial(self, tmp_path):
         table = random_table(14)
@@ -366,23 +398,28 @@ class TestExecutor:
 
     def test_plan_sweep_shapes(self):
         table = random_table(15)
-        graph = plan_sweep([NaiveThreshold(), MaximumSpanningTree()],
-                           table, DensityMetric(), shares=(0.1, 0.5))
-        assert graph.codes == ["NT", "MST"]
-        assert graph.shards[0].shares == (0.1, 0.5)
-        assert graph.shards[1].shares == ()  # parameter-free: one point
+        plans = sweep_plans([NaiveThreshold(), MaximumSpanningTree()],
+                            table, DensityMetric(), shares=(0.1, 0.5))
+        assert [plan.method_spec.code for plan in plans] \
+            == ["NT", "NT", "MST"]
+        assert [plan.budget_spec.share for plan in plans[:2]] \
+            == [0.1, 0.5]
+        assert plans[2].budget_spec is None  # parameter-free: one point
 
     def test_execute_reports_stats(self, tmp_path):
         table = random_table(16)
-        graph = plan_sweep([NaiveThreshold()], table, DensityMetric())
         store = ScoreStore(tmp_path)
-        outcome = execute(graph, store=store)
-        assert outcome.stats.misses == 1 and outcome.stats.puts == 1
-        outcome = execute(graph, store=store)
-        assert outcome.stats.hits >= 1
+        sweep_methods([NaiveThreshold()], table, DensityMetric(),
+                      store=store)
+        assert store.stats.misses == 1 and store.stats.puts == 1
+        sweep_methods([NaiveThreshold()], table, DensityMetric(),
+                      store=store)
+        assert store.stats.hits == 1
 
 
 class TestPipelineFacade:
+    """The plan forms of score-once, extract-many requests."""
+
     @pytest.mark.parametrize("method", [
         NoiseCorrectedBackbone(delta=1.0),
         NoiseCorrectedPValue(delta=1.0),
@@ -394,47 +431,60 @@ class TestPipelineFacade:
     ], ids=lambda m: m.code)
     def test_cached_extract_matches_direct(self, tmp_path, method):
         table = random_table(17, n_nodes=20, n_edges=90)
-        pipe = Pipeline(cache_dir=tmp_path)
+        store = ScoreStore(tmp_path)
+        plan = flow(table).method(method)
+
+        def extract(**budget):
+            chosen = plan.budget(**budget) if budget else plan
+            return chosen.run(store=store).backbone
+
         if method.parameter_free:
-            assert pipe.extract(method, table) == method.extract(table)
+            assert extract() == method.extract(table)
         elif method.code in ("NC", "NCp", "HSS", "KC"):
-            assert pipe.extract(method, table) == method.extract(table)
-            assert pipe.extract(method, table, n_edges=12) \
+            assert extract() == method.extract(table)
+            assert extract(n_edges=12) \
                 == method.extract(table, n_edges=12)
         else:
-            assert pipe.extract(method, table, share=0.25) \
+            assert extract(share=0.25) \
                 == method.extract(table, share=0.25)
 
     def test_extract_hits_cache_across_budgets(self, tmp_path):
         table = random_table(18)
-        pipe = Pipeline(cache_dir=tmp_path)
-        method = NoiseCorrectedBackbone()
-        pipe.extract(method, table, n_edges=10)
-        pipe.extract(method, table, n_edges=20)
-        pipe.extract(method, table, share=0.5)
-        assert pipe.stats.misses == 1
-        assert pipe.stats.hits == 2
+        store = ScoreStore(tmp_path)
+        plan = flow(table).method(NoiseCorrectedBackbone())
+        plan.budget(n_edges=10).run(store=store)
+        plan.budget(n_edges=20).run(store=store)
+        plan.budget(share=0.5).run(store=store)
+        assert store.stats.misses == 1
+        assert store.stats.hits == 2
 
     def test_warm_serial_and_parallel(self, tmp_path):
         table = random_table(19)
         methods = [NaiveThreshold(), DisparityFilter()]
-        pipe = Pipeline(cache_dir=tmp_path)
-        assert pipe.warm(methods, table) == 2
-        fresh = Pipeline()  # memory-only store
-        assert fresh.warm(methods, table, workers=2) == 2
-        fresh.score(methods[0], table)
-        assert fresh.stats.hits >= 1
+        plans = [flow(table).method(method).budget(share=0.5)
+                 for method in methods]
+        store = ScoreStore(tmp_path)
+        assert all(result.ok for result in serve(plans, store=store))
+        assert store.stats.puts == 2
+        fresh = ScoreStore()  # memory-only store
+        assert all(result.ok
+                   for result in serve(plans, store=fresh, workers=2))
+        assert len(fresh) == 2
+        hits = fresh.stats.hits
+        flow(table).method(methods[0]).scores(store=fresh)
+        assert fresh.stats.hits == hits + 1
 
     def test_sweep_uses_configured_workers(self, tmp_path):
         table = random_table(20)
-        pipe = Pipeline(cache_dir=tmp_path, workers=2)
-        series = pipe.sweep([NaiveThreshold(), DisparityFilter()], table,
-                            DensityMetric())
+        methods = [NaiveThreshold(), DisparityFilter()]
+        series = sweep_methods(methods, table, DensityMetric(),
+                               store=ScoreStore(tmp_path), workers=2)
         assert set(series) == {"NT", "DF"}
+        assert series == sweep_methods(methods, table, DensityMetric())
 
     def test_named_metric_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown metric"):
-            named_metric("sparkle", random_table(21))
+            MetricSpec("sparkle")
 
     def test_score_with_store_without_store(self):
         table = random_table(22)
@@ -482,12 +532,12 @@ class TestNegativeCaching:
         calls = self.counting_sinkhorn(monkeypatch)
         table = self.unbalanceable()
         store = ScoreStore(tmp_path)
-        first = run_sweep([DoublyStochastic()], table, DensityMetric(),
-                          store=store)
+        first = sweep_methods([DoublyStochastic()], table,
+                              DensityMetric(), store=store)
         assert calls == [1]
         assert first["DS"].shares == []  # the paper's "n/a" cell
-        second = run_sweep([DoublyStochastic()], table, DensityMetric(),
-                           store=store)
+        second = sweep_methods([DoublyStochastic()], table,
+                               DensityMetric(), store=store)
         assert calls == [1]  # zero Sinkhorn iterations the second time
         assert second == first
         assert store.stats.negative_hits == 1
@@ -498,12 +548,12 @@ class TestNegativeCaching:
         from repro.backbones.doubly_stochastic import DoublyStochastic
 
         table = self.unbalanceable()
-        run_sweep([DoublyStochastic()], table, DensityMetric(),
-                  store=ScoreStore(tmp_path))
+        sweep_methods([DoublyStochastic()], table, DensityMetric(),
+                      store=ScoreStore(tmp_path))
         calls = self.counting_sinkhorn(monkeypatch)
         fresh = ScoreStore(tmp_path)  # same directory, empty memory tier
-        series = run_sweep([DoublyStochastic()], table, DensityMetric(),
-                           store=fresh)
+        series = sweep_methods([DoublyStochastic()], table,
+                               DensityMetric(), store=fresh)
         assert calls == []  # served from the persisted negative entry
         assert series["DS"].shares == []
         assert fresh.stats.negative_hits == 1
@@ -514,8 +564,8 @@ class TestNegativeCaching:
         calls = self.counting_sinkhorn(monkeypatch)
         store = ScoreStore()
         for _ in range(3):
-            run_sweep([DoublyStochastic()], self.unbalanceable(),
-                      DensityMetric(), store=store)
+            sweep_methods([DoublyStochastic()], self.unbalanceable(),
+                          DensityMetric(), store=store)
         assert calls == [1]
         assert store.stats.negative_hits == 2
 
@@ -539,18 +589,12 @@ class TestSQLiteThroughPipeline:
         # their scored tables through the sqlite:// worker spec.
         table = random_table(27)
         path = tmp_path / "scores.sqlite"
-        run_sweep([NaiveThreshold(), DisparityFilter()], table,
-                  DensityMetric(), store=ScoreStore(path), workers=2)
-        calls = []
-        original = NaiveThreshold.score
-
-        def counting(self, arg):
-            calls.append(1)
-            return original(self, arg)
-
-        monkeypatch.setattr(NaiveThreshold, "score", counting)
+        sweep_methods([NaiveThreshold(), DisparityFilter()], table,
+                      DensityMetric(), store=ScoreStore(path), workers=2)
+        calls = counting_scores(monkeypatch, NaiveThreshold)
         fresh = ScoreStore(path)
-        run_sweep([NaiveThreshold()], table, DensityMetric(), store=fresh)
+        sweep_methods([NaiveThreshold()], table, DensityMetric(),
+                      store=fresh)
         assert calls == []
         assert fresh.stats.disk_hits == 1
 

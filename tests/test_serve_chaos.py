@@ -17,7 +17,7 @@ from repro.graph.edge_table import EdgeTable
 from repro.pipeline.backends import (InMemoryKVServer, KVBackend,
                                      KVTransientError)
 from repro.pipeline.store import ScoreStore
-from repro.serve import BackboneDaemon, ServeClient, serve_isolated
+from repro.serve import BackboneDaemon, ServeClient
 from repro.serve.faults import (ChaosFailure, ChaosMethod, FlakyBackend,
                                 KillWorkerOnce, RaiseOnce)
 
@@ -164,7 +164,7 @@ class TestPerPlanFailure:
         bad = ChaosMethod(get_method("NT"),
                           hooks=[RaiseOnce(flag), RaiseOnce(flag)])
         good = ChaosMethod(get_method("DF"))
-        results = serve_isolated(
+        results = serve(
             [flow(table).method(bad).budget(share=0.4),
              flow(table).method(good).budget(share=0.4)])
         assert isinstance(results[0].error, ChaosFailure)

@@ -15,12 +15,12 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.flow import flow
+from repro.flow import flow, serve
 from repro.graph.edge_table import EdgeTable
 from repro.graph.ingest import write_edges
 from repro.pipeline.store import ScoreStore
 from repro.serve import (BackboneDaemon, DeadlineExceeded, ServeClient,
-                         ServeError, serve_isolated)
+                         ServeError)
 from repro.serve.client import collect_results
 from repro.serve.faults import ChaosMethod, Sleep
 
@@ -246,35 +246,73 @@ class TestLifecycle:
 
 
 class TestServeIsolatedEngine:
+    """``repro.flow.serve`` isolates every slot; the daemon runs it."""
+
     def test_non_plan_objects_fail_their_slot(self, edges_csv):
         good = flow(str(edges_csv)).method("NT").budget(share=0.3)
-        results = serve_isolated(["not a plan", good])
+        results = serve(["not a plan", good])
         assert not results[0].ok
         assert isinstance(results[0].error, TypeError)
         assert results[1].ok
 
     def test_plan_without_method_fails_its_slot(self, edges_csv):
-        results = serve_isolated([
+        results = serve([
             flow(str(edges_csv)),
             flow(str(edges_csv)).method("NT").budget(share=0.3)])
         assert not results[0].ok
         assert results[1].ok
 
     def test_unknown_method_code_fails_per_plan(self, edges_csv):
+        from dataclasses import replace
+
+        from repro.flow import MethodSpec
         from repro.flow.plan import Plan
         good = flow(str(edges_csv)).method("NT").budget(share=0.3)
         artifact = json.loads(good.to_json())
         artifact["method"]["code"] = "NOPE"
         with pytest.raises(Exception):
             Plan.from_json(json.dumps(artifact))
+        # A spec that slipped past parsing fails its own slot only,
+        # as does a parameter the method does not accept.
+        unknown = replace(good, method_spec=MethodSpec(code="NOPE"))
+        bad_param = flow(str(edges_csv)).method("NT", bogus=1)
+        results = serve([unknown, good, bad_param])
+        assert [r.ok for r in results] == [False, True, False]
 
     def test_source_sharing_survives_isolation(self, edges_csv):
         store = ScoreStore()
         plans = [flow(str(edges_csv)).method("NC", delta=d)
                  for d in (1.0, 1.5, 2.0)]
-        results = serve_isolated(plans + ["junk"], store=store)
+        results = serve(plans + ["junk"], store=store)
         assert [r.ok for r in results] == [True, True, True, False]
         assert store.stats.puts == 1
+
+    def test_bad_slots_fail_alone_in_input_order(self, edges_csv,
+                                                 tmp_path):
+        missing = flow(str(tmp_path / "missing.csv")).method("NT") \
+            .budget(share=0.3)
+        good = flow(str(edges_csv)).method("NT").budget(share=0.3)
+        inputs = ["not a plan", flow(str(edges_csv)), missing, good]
+        results = serve(inputs)
+        assert all(r.plan is plan for r, plan in zip(results, inputs))
+        assert [r.ok for r in results] == [False, False, False, True]
+        assert isinstance(results[2].error, OSError)
+        assert results[3].backbone == good.run().backbone
+
+    def test_daemon_and_library_share_one_serve(self, edges_csv,
+                                                tmp_path):
+        import importlib
+
+        from repro.serve import daemon as daemon_mod
+        flow_serve = importlib.import_module("repro.flow.serve")
+        assert daemon_mod.serve is flow_serve.serve
+        missing = flow(str(tmp_path / "missing.csv")).method("NT") \
+            .budget(share=0.3)
+        good = flow(str(edges_csv)).method("NT").budget(share=0.3)
+        with BackboneDaemon(port=0, batch_window=0.0) as daemon:
+            results = daemon.submit([missing, good])
+        assert isinstance(results[0].error, OSError)
+        assert results[1].ok
 
     def test_repro_serve_attribute_stays_callable(self, edges_csv):
         # Importing the repro.serve subpackage rebinds the `serve`

@@ -124,7 +124,7 @@ class TestWarmResolution:
         write_edges(random_table(4), path, delimiter="\t")
         misses = counters()[1]
         with pytest.raises(ValueError, match="expected 3 fields"):
-            serve([nc_plan(str(path), directed=False)])
+            nc_plan(str(path), directed=False).run()
         (result,), parses = traced(lambda: serve(
             [nc_plan(str(path), directed=False, delimiter="\t")]))
         assert result.ok and parses == 1
