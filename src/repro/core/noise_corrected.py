@@ -148,7 +148,7 @@ class NoiseCorrectedPValue(BackboneMethod):
         return {"threshold": 1.0 - self.p_cut}
 
     def score(self, table: EdgeTable) -> ScoredEdges:
-        from ..stats import special
+        from scipy import special
 
         table = prepare_table(table)
         ni, nj, total = edge_marginals(table)

@@ -5,31 +5,16 @@ single-source problem for every node. The reference implementation
 (:func:`repro.graph.paths.dijkstra_reference`) walks a binary heap arc by
 arc in pure Python, which is why the paper could not push HSS past a few
 thousand edges (Section V-G). This module replaces the per-arc inner loop
-with array-native batch relaxation over the CSR adjacency:
+with C distance passes and array-native tree derivation over the CSR
+adjacency:
 
 Design
 ------
-* **Settle-in-batches Dijkstra.** Per iteration every root settles the
-  whole set of frontier nodes that Crauser's OUT-criterion proves final:
-  all open ``u`` with ``dist[u] <= min_v(dist[v] + minout[v])``, where
-  ``minout[v]`` is the smallest finite outgoing arc length of ``v`` and
-  ``v`` ranges over that root's open set. Any improving path would have
-  to leave an open node and therefore costs at least the threshold, so
-  batch members can only be re-relaxed at *equal* distance — the float
-  ``dist`` array is bit-identical to the heap reference, which also
-  ignores non-strict improvements.
-* **CSR-slab relaxation over a compressed frontier.** The open set is a
-  flat ``root * n + node`` index vector, so per-phase work scales with
-  the frontier, not with ``roots x nodes``. All arcs leaving a batch are
-  materialized as one index slab (``np.repeat`` + cumulative offsets)
-  and scattered into ``dist`` with a sort/``reduceat`` minimum — no
-  per-arc Python.
-* **Optional scipy distance backend.** When ``scipy.sparse.csgraph`` is
-  importable (it is an existing dependency of the IO layer) and every
-  usable arc has strictly positive length, distances come from scipy's
-  C Dijkstra instead — same bits, since any exact Dijkstra computes the
-  same min-over-paths float sums. ``backend="numpy"`` forces the
-  portable kernel; predecessor derivation is shared either way.
+* **scipy's C Dijkstra for distances.** Every usable arc goes into one
+  length-weighted ``scipy.sparse`` matrix, built once per engine, and
+  ``scipy.sparse.csgraph.dijkstra`` computes each root chunk's distance
+  rows — the same bits as the heap reference, since any exact Dijkstra
+  computes the same min-over-paths float sums.
 * **Many roots at once.** Roots are processed as rows of an ``(R, n)``
   distance matrix so every vector operation amortizes over the root
   batch; chunking keeps memory bounded for all-roots sweeps.
@@ -43,7 +28,7 @@ Design
   the reference tree *exactly*, tie for tie. The one case where settle
   order is not the ``(dist, node)`` order — chains of zero-*length*
   arcs, impossible with the default ``1 / weight`` lengths — falls back
-  to a per-root heap automatically (``backend="reference"``).
+  to a per-root heap automatically (``engine.backend == "reference"``).
 * **Arc indices, not tuples.** Trees are reported as predecessor *arc
   ids* into ``Graph.neighbors``; superposing trees is then a plain
   ``np.bincount`` over ``Graph.arc_row`` instead of a ``(u, v) -> row``
@@ -66,7 +51,7 @@ import numpy as np
 
 from ..obs.trace import span
 from ..util.parallel import chunked, parallel_map, resolve_workers
-from .graph import Graph, concat_csr_slices
+from .graph import Graph
 
 _UNREACHED = -1
 #: Target element count for one root chunk's working arrays; keeps the
@@ -74,22 +59,10 @@ _UNREACHED = -1
 _CHUNK_BUDGET = 4_000_000
 
 # The per-chunk state handed to (possibly forked) workers: a plain tuple
-# of arrays, the resolved backend name, and the prebuilt scipy matrix
-# (``None`` off the scipy backend), so it pickles cheaply and shares
-# pages under fork.
-_Csr = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray,
-             str, object]
-
-#: Recognized values for ``ShortestPathEngine(backend=...)``.
-BACKENDS = ("auto", "numpy", "scipy", "reference")
-
-
-def _have_scipy() -> bool:
-    try:
-        import scipy.sparse.csgraph  # noqa: F401
-    except ImportError:
-        return False
-    return True
+# of arrays, the chosen path (``"scipy"`` or ``"reference"``), and the
+# prebuilt scipy matrix (``None`` on the heap path), so it pickles
+# cheaply and shares pages under fork.
+_Csr = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, str, object]
 
 
 def effective_lengths(weights: np.ndarray) -> np.ndarray:
@@ -140,21 +113,17 @@ class ShortestPathEngine:
         Optional per-arc lengths aligned with ``graph.weights``; defaults
         to the HSS effective proximity ``1 / weight``. Must be
         non-negative; non-finite entries mark unusable arcs.
-    backend:
-        ``"auto"`` (default) picks scipy's C Dijkstra for the distance
-        pass when available, else the portable numpy batch kernel; both
-        produce bit-identical output. Zero-*length* arcs (possible only
-        with a custom ``lengths`` array — the default ``1 / weight`` is
-        always positive) force the ``"reference"`` heap backend, because
-        batch settling cannot reproduce the heap's discovery-order tie
-        breaks across zero-length chains. Forcing ``"numpy"``/``"scipy"``
-        raises in that case (or when scipy is missing).
+
+    The distance pass runs on scipy's C Dijkstra. Zero-*length* arcs
+    (possible only with a custom ``lengths`` array — the default
+    ``1 / weight`` is always positive) send every root through the
+    per-root heap instead, because predecessors derived from distances
+    cannot reproduce the heap's discovery-order tie breaks across
+    zero-length chains. ``backend`` reports which path was chosen
+    (``"scipy"`` or ``"reference"``).
     """
 
-    def __init__(self, graph: Graph, lengths: Optional[np.ndarray] = None,
-                 backend: str = "auto"):
-        if backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}")
+    def __init__(self, graph: Graph, lengths: Optional[np.ndarray] = None):
         if lengths is None:
             lengths = effective_lengths(graph.weights)
         else:
@@ -165,26 +134,12 @@ class ShortestPathEngine:
                 raise ValueError("Dijkstra requires non-negative lengths")
         self.graph = graph
         self.lengths = lengths
-        usable = np.isfinite(lengths)
-        minout = np.full(graph.n_nodes, np.inf)
-        _scatter_min(minout, graph.arc_src[usable], lengths[usable])
-        has_zero = bool(lengths[usable].size
-                        and lengths[usable].min() == 0.0)
-        if backend in ("numpy", "scipy") and has_zero:
-            raise ValueError("zero-length arcs require backend='reference' "
-                             "to reproduce heap tie-breaking")
-        if backend == "scipy" and not _have_scipy():
-            raise ValueError("scipy backend requested but scipy is missing")
-        if backend == "auto":
-            if has_zero:
-                backend = "reference"
-            else:
-                backend = "scipy" if _have_scipy() else "numpy"
-        self.backend = backend
-        matrix = _build_scipy_matrix(graph, lengths) \
-            if backend == "scipy" else None
+        usable = lengths[np.isfinite(lengths)]
+        has_zero = bool(usable.size and usable.min() == 0.0)
+        self.backend = "reference" if has_zero else "scipy"
+        matrix = None if has_zero else _build_scipy_matrix(graph, lengths)
         self._csr: _Csr = (graph.indptr, graph.neighbors, lengths,
-                           graph.arc_src, minout, backend, matrix)
+                           graph.arc_src, self.backend, matrix)
 
     # ------------------------------------------------------------------
     # Public API
@@ -282,12 +237,9 @@ class ShortestPathEngine:
 
 
 def _chunk_distances(csr: _Csr, roots: np.ndarray) -> np.ndarray:
-    backend = csr[5]
-    if backend == "reference":
+    if csr[4] == "reference":
         return _reference_chunk_forest(csr, roots)[0]
-    if backend == "scipy":
-        return _scipy_chunk_distances(csr, roots)
-    return _numpy_chunk_distances(csr, roots)
+    return _scipy_chunk_distances(csr, roots)
 
 
 def _build_scipy_matrix(graph: Graph, lengths: np.ndarray):
@@ -312,71 +264,15 @@ def _build_scipy_matrix(graph: Graph, lengths: np.ndarray):
 
 
 def _scipy_chunk_distances(csr: _Csr, roots: np.ndarray) -> np.ndarray:
-    """Distance pass via scipy's C Dijkstra (bit-identical to the kernel)."""
+    """Distance pass via scipy's C Dijkstra (bit-identical to the heap)."""
     from scipy.sparse import csgraph
 
-    return csgraph.dijkstra(csr[6], directed=True, indices=roots)
-
-
-def _numpy_chunk_distances(csr: _Csr, roots: np.ndarray) -> np.ndarray:
-    """Settle-in-batches Dijkstra for one chunk of roots (pure numpy).
-
-    State lives in flat ``root_row * n + node`` coordinates: ``open_``
-    holds the reached-but-unsettled frontier, so each phase costs
-    O(frontier + relaxed arcs) instead of O(roots x nodes).
-    """
-    indptr, neighbors, lengths, _, minout = csr[:5]
-    n = len(indptr) - 1
-    n_roots = len(roots)
-    rows = np.arange(n_roots)
-    dist = np.full((n_roots, n), np.inf)
-    dist[rows, roots] = 0.0
-    flat_dist = dist.reshape(-1)
-    settled = np.zeros(n_roots * n, dtype=bool)
-    in_open = np.zeros(n_roots * n, dtype=bool)
-    threshold = np.empty(n_roots)
-    open_ = np.unique(rows * n + roots)
-    in_open[open_] = True
-    while open_.size:
-        open_dist = flat_dist[open_]
-        open_row = open_ // n
-        threshold.fill(np.inf)
-        _scatter_min(threshold, open_row, open_dist + minout[open_ % n])
-        take = open_dist <= threshold[open_row]
-        batch = open_[take]
-        open_ = open_[~take]
-        settled[batch] = True
-        in_open[batch] = False
-        nodes = batch % n
-        counts = indptr[nodes + 1] - indptr[nodes]
-        has_arcs = counts > 0
-        batch, nodes, counts = (batch[has_arcs], nodes[has_arcs],
-                                counts[has_arcs])
-        if not counts.size:
-            continue
-        # Concatenate the CSR slices of every batch node into one slab.
-        arcs = concat_csr_slices(indptr, nodes)
-        candidate = np.repeat(flat_dist[batch], counts) + lengths[arcs]
-        flat = np.repeat(batch - nodes, counts) + neighbors[arcs]
-        usable = np.isfinite(candidate) & ~settled[flat]
-        flat, candidate = flat[usable], candidate[usable]
-        improved = candidate < flat_dist[flat]
-        if improved.any():
-            touched = flat[improved]
-            _scatter_min(flat_dist, touched, candidate[improved])
-            # Membership flags keep ``open_`` duplicate-free; only the
-            # (small) set of first-time discoveries needs a sort-dedup.
-            fresh = touched[~in_open[touched]]
-            if fresh.size:
-                fresh = np.unique(fresh)
-                in_open[fresh] = True
-                open_ = np.concatenate([open_, fresh])
-    return dist
+    return csgraph.dijkstra(csr[5], directed=True, indices=roots)
 
 
 def _chunk_forest(csr: _Csr, roots: np.ndarray
                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if csr[5] == "reference":
+    if csr[4] == "reference":
         return _reference_chunk_forest(csr, roots)
     dist = _chunk_distances(csr, roots)
     pred, pred_arc = _derive_predecessors(csr, roots, dist)
@@ -444,7 +340,7 @@ def _derive_predecessors(csr: _Csr, roots: np.ndarray, dist: np.ndarray
     minimizes ``(dist[u], u)`` — the heap's settle order (valid because
     with positive lengths every equal-distance node is already in the
     heap before the first of them pops; the zero-length case goes
-    through the reference backend instead). Stage 1 finds the minimal
+    through the per-root heap instead). Stage 1 finds the minimal
     ``dist[u]`` per target; stage 2 resolves ``(u, arc)`` in one
     scatter-min over the packed key ``u * m + arc``.
     """

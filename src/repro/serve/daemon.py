@@ -20,7 +20,10 @@ rather than a script is what it keeps warm and what it survives:
   the daemon default). A request whose deadline passes while queued is
   cancelled without being served; one that expires mid-batch returns a
   structured timeout to its client while the batch completes and warms
-  the store for the retry. The daemon stays healthy either way.
+  the store for the retry. The daemon stays healthy either way. A NaN,
+  infinite or negative deadline is refused with a 400 before anything
+  is admitted; a finite one above ``threading.TIMEOUT_MAX`` is clamped
+  to it.
 * **Degradation, not collapse.** Per-plan failures come back as
   structured errors for that plan only (see
   :mod:`repro.flow.serve`); a cache-backend outage flips the store
@@ -65,6 +68,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -332,16 +336,24 @@ class BackboneDaemon:
 
         Raises :class:`DeadlineExceeded` when the deadline passes
         first — the batch keeps running and warms the store, so a
-        retry is cheap; the daemon is unaffected.
+        retry is cheap; the daemon is unaffected. A NaN, infinite or
+        negative ``deadline`` raises :class:`ValueError` before
+        anything is admitted.
         """
         return self._await(self._admit(plans, deadline))
 
     def _admit(self, plans: Sequence[Plan],
                deadline: Optional[float],
                trace: bool = False) -> _Ticket:
-        budget = self.default_deadline if deadline is None \
-            else float(deadline)
-        budget = max(0.0, budget)
+        if deadline is None:
+            budget = self.default_deadline
+        else:
+            budget = float(deadline)
+            if not 0.0 <= budget < math.inf:
+                raise ValueError("deadline must be a finite, non-negative "
+                                 f"number of seconds, got {deadline!r}")
+        # Event.wait overflows past TIMEOUT_MAX; no request waits longer.
+        budget = min(max(0.0, budget), threading.TIMEOUT_MAX)
         ticket = _Ticket(list(plans), time.monotonic() + budget,
                          trace=trace)
         with self._cond:
@@ -714,6 +726,9 @@ def _make_handler(daemon: BackboneDaemon):
                     results = daemon._await(ticket)
                     batch = ticket.batch
                     artifact = ticket.artifact
+                except ValueError as error:  # bad deadline, not admitted
+                    self._fail(400, "BadRequest", str(error))
+                    return
                 except DeadlineExceeded as error:
                     self._fail(504, "DeadlineExceeded", str(error))
                     return

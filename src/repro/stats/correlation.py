@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from . import special
+from scipy import special
 
 from ..util.validation import as_float_array, check_same_length
 from .ranking import rankdata_average

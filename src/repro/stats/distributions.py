@@ -10,8 +10,7 @@ IV):
 
 Only moments, densities and tail areas actually used by the library are
 implemented; the incomplete beta and error functions come from
-:mod:`repro.stats.special` (scipy when installed, pure-Python
-fallbacks otherwise).
+:mod:`scipy.special`.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from . import special
+from scipy import special
 
 from ..util.validation import check_positive, check_probability
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from . import special
+from scipy import special
 
 from ..util.validation import as_float_array, require
 
@@ -45,14 +45,8 @@ class OLSResult:
         if df <= 0:
             return np.full(len(self.coefficients), np.nan)
         t = self.t_values()
-        out = np.empty_like(t)
-        for i, value in enumerate(t):
-            if not np.isfinite(value):
-                out[i] = np.nan
-            else:
-                out[i] = special.betainc(df / 2.0, 0.5,
-                                         df / (df + value * value))
-        return out
+        out = special.betainc(df / 2.0, 0.5, df / (df + t * t))
+        return np.where(np.isfinite(t), out, np.nan)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Predict responses for a new design matrix (without intercept

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.stats as sps
 
 from repro.core import (NoiseCorrectedBackbone, NoiseCorrectedPValue,
                         compare_edges, confidence_intervals)
@@ -132,6 +133,34 @@ class TestPValueVariant:
     def test_no_sdev_available(self):
         scored = NoiseCorrectedPValue().score(dense_random_table(seed=10))
         assert scored.sdev is None
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_matches_binomial_tail_equation(self, directed):
+        # Footnote 2: p = P(X >= N_ij) with X ~ Binomial(N.., N_i. N_.j /
+        # N..^2). The marginals are summed here from the edge list itself;
+        # undirected strengths count each edge at both endpoints (the
+        # doubled representation).
+        rng = np.random.default_rng(21)
+        n = 9
+        edges = [(i, j, int(rng.integers(1, 30)))
+                 for i in range(n) for j in range(n)
+                 if (i < j or (directed and i != j)) and rng.random() < 0.6]
+        out_strength, in_strength = [0] * n, [0] * n
+        for i, j, w in edges:
+            out_strength[i] += w
+            in_strength[j] += w
+            if not directed:
+                out_strength[j] += w
+                in_strength[i] += w
+        total = sum(out_strength)
+        scored = NoiseCorrectedPValue().score(
+            EdgeTable.from_pairs(edges, n_nodes=n, directed=directed))
+        table = scored.table
+        assert table.m == len(edges)
+        ni = np.array(out_strength)[table.src]
+        nj = np.array(in_strength)[table.dst]
+        expected = sps.binom.sf(table.weight - 1, total, ni * nj / total**2)
+        assert np.max(np.abs((1.0 - scored.score) - expected)) <= 1e-12
 
     def test_agrees_with_delta_variant_on_ranking(self):
         # The two formulations should broadly agree on which edges are

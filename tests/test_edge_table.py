@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.graph import EdgeTable
-from repro.graph.sp_engine import _have_scipy
 
 
 def simple_directed():
@@ -247,8 +246,6 @@ class TestExports:
         table = EdgeTable([0, 1], [1, 2], [1.0, 2.0])
         assert table.edge_key_set() == {(0, 1), (1, 2)}
 
-    @pytest.mark.skipif(not _have_scipy(),
-                        reason="scipy not installed")
     def test_to_csr_matches_dense(self):
         table = simple_undirected()
         assert np.allclose(table.to_csr().toarray(), table.to_dense())

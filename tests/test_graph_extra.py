@@ -6,10 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import EdgeTable, Graph, read_edge_csv, write_edge_csv
-from repro.graph.sp_engine import _have_scipy
-
-requires_scipy = pytest.mark.skipif(not _have_scipy(),
-                                   reason="scipy not installed")
 
 
 @st.composite
@@ -47,7 +43,6 @@ class TestDoublingProperties:
                                 n_nodes=table.n_nodes, directed=True)
         assert again == recoalesced
 
-    @requires_scipy
     @given(directed_tables())
     @settings(max_examples=30, deadline=None)
     def test_csr_matches_dense(self, table):

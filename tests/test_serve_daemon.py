@@ -94,11 +94,23 @@ class TestProtocol:
         assert not reply["results"][0]["ok"]
         assert reply["results"][1]["ok"]
 
-    def test_bad_requests_are_400(self, client):
-        for body in (None, [], {"plans": []}, {"plans": "nope"}):
+    def test_bad_requests_are_400(self, edges_csv, client):
+        plan = json.loads(
+            flow(str(edges_csv)).method("NT").budget(share=0.3).to_json())
+        # Event.wait overflows on an infinite or huge timeout: unbounded
+        # deadlines are refused up front, and a huge finite one is
+        # clamped, so neither drops the connection mid-request.
+        bad_deadlines = [{"plans": [plan], "deadline": x}
+                         for x in (float("inf"), float("nan"), -1)]
+        for body in (None, [], {"plans": []}, {"plans": "nope"},
+                     *bad_deadlines):
             with pytest.raises(ServeError) as info:
                 client._call("POST", "/v1/run", body)
             assert info.value.status == 400
+        reply = client._call("POST", "/v1/run",
+                             {"plans": [plan], "deadline": 1e300})
+        assert reply["results"][0]["ok"]
+        assert client.healthy()
 
     def test_unknown_path_is_404(self, client):
         with pytest.raises(ServeError) as info:
@@ -201,6 +213,16 @@ class TestDeadlines:
             retry = daemon.submit([plan], deadline=5.0)
             assert retry[0].ok
         assert store.stats.hits >= 1
+
+    def test_submit_rejects_unbounded_deadline(self, edges_csv):
+        plan = flow(str(edges_csv)).method("NT").budget(share=0.3)
+        with BackboneDaemon(port=0, store=ScoreStore()) as daemon:
+            for deadline in (float("inf"), float("nan"), -1.0):
+                with pytest.raises(ValueError):
+                    daemon.submit([plan], deadline=deadline)
+            assert daemon.stats.snapshot()["requests"] == 0
+            # A huge finite deadline is clamped, not refused.
+            assert daemon.submit([plan], deadline=1e300)[0].ok
 
     def test_queued_ticket_cancelled_after_deadline(self, edges_csv):
         with BackboneDaemon(port=0, batch_window=0.3,

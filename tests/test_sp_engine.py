@@ -1,10 +1,10 @@
 """Property tests: the batched SP engine vs the binary-heap reference.
 
 The engine's contract is *bit-identical* output — distances, predecessor
-tie-breaks, tree edges and HSS salience scores — across its backends
-(numpy batch kernel, optional scipy distance pass, heap fallback), on
-random ER/BA-style graphs, directed and undirected, with zero-weight
-arcs and disconnected components.
+tie-breaks, tree edges and HSS salience scores — on both of its paths
+(scipy's distance pass, and the per-root heap it takes when any arc has
+zero length), on random ER/BA-style graphs, directed and undirected,
+with zero-weight arcs and disconnected components.
 """
 
 import numpy as np
@@ -16,14 +16,12 @@ from repro.generators.barabasi_albert import barabasi_albert
 from repro.generators.erdos_renyi import erdos_renyi_gnm
 from repro.graph import (EdgeTable, Graph, ShortestPathEngine,
                          dijkstra, dijkstra_reference, shortest_path_tree)
-from repro.graph.sp_engine import _have_scipy, effective_lengths
+from repro.graph.sp_engine import effective_lengths
 from repro.util.parallel import chunked, parallel_map, resolve_workers
 
-BACKENDS = ("numpy",
-            pytest.param("scipy",
-                         marks=pytest.mark.skipif(
-                             not _have_scipy(),
-                             reason="scipy not installed")))
+#: The engine's two paths, chosen from its input: default lengths run
+#: scipy's Dijkstra, and zero-length arcs send every root to the heap.
+PATHS = ("scipy", "reference")
 
 
 def random_table(seed, directed=False, zero_weights=0.1):
@@ -40,32 +38,45 @@ def random_table(seed, directed=False, zero_weights=0.1):
     return table.without_self_loops()
 
 
+def path_lengths(graph, path):
+    """Arc lengths that steer the engine onto ``path``."""
+    if path == "scipy":
+        return None
+    lengths = effective_lengths(graph.weights)
+    lengths[::3] = 0.0
+    return lengths
+
+
+def assert_matches_reference(graph, path, sources):
+    lengths = path_lengths(graph, path)
+    engine = ShortestPathEngine(graph, lengths=lengths)
+    assert engine.backend == path
+    forest = engine.forest()
+    for source in sources:
+        dist, pred = dijkstra_reference(graph, source, lengths=lengths)
+        assert np.array_equal(forest.dist[source], dist)
+        assert np.array_equal(forest.pred[source], pred)
+
+
 class TestEngineMatchesReference:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("path", PATHS)
     @pytest.mark.parametrize("directed", [False, True])
-    def test_random_graphs_bit_identical(self, backend, directed):
+    def test_random_graphs_bit_identical(self, path, directed):
         for seed in range(8):
             table = random_table(seed, directed=directed)
             if table.m == 0:
                 continue
             graph = Graph(table)
-            forest = ShortestPathEngine(graph, backend=backend).forest()
-            for source in range(graph.n_nodes):
-                dist, pred = dijkstra_reference(graph, source)
-                assert np.array_equal(forest.dist[source], dist)
-                assert np.array_equal(forest.pred[source], pred)
+            assert_matches_reference(graph, path, range(graph.n_nodes))
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_barabasi_albert_graphs(self, backend):
+    @pytest.mark.parametrize("path", PATHS)
+    def test_barabasi_albert_graphs(self, path):
         for seed in range(3):
             table = barabasi_albert(40, m=2, seed=seed)
             graph = Graph(table if not table.directed
                           else table.symmetrized("sum"))
-            forest = ShortestPathEngine(graph, backend=backend).forest()
-            for source in range(0, graph.n_nodes, 5):
-                dist, pred = dijkstra_reference(graph, source)
-                assert np.array_equal(forest.dist[source], dist)
-                assert np.array_equal(forest.pred[source], pred)
+            assert_matches_reference(graph, path,
+                                     range(0, graph.n_nodes, 5))
 
     def test_tree_edges_match_shortest_path_tree(self):
         table = random_table(3)
@@ -114,18 +125,6 @@ class TestEngineMatchesReference:
 class TestEngineApi:
     def graph(self):
         return Graph(EdgeTable([0, 1], [1, 2], [1.0, 2.0], directed=False))
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            ShortestPathEngine(self.graph(), backend="gpu")
-
-    def test_zero_lengths_reject_batch_backends(self):
-        graph = self.graph()
-        # Both batch backends refuse (a missing scipy also raises).
-        for backend in ("numpy", "scipy"):
-            with pytest.raises(ValueError):
-                ShortestPathEngine(graph, lengths=np.zeros(graph.m),
-                                   backend=backend)
 
     def test_negative_lengths_rejected(self):
         graph = self.graph()

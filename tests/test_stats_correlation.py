@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.stats as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,9 +10,6 @@ from repro.stats import (PAPER_DELTAS, delta_for_p_value, delta_table,
                          log_log_pearson, p_value_for_delta, pearson,
                          pearson_test, rankdata_average, spearman,
                          spearman_test)
-
-# Comparisons are against scipy; the module under test runs without it.
-sps = pytest.importorskip("scipy.stats", exc_type=ImportError)
 
 finite_floats = st.floats(-1e6, 1e6, allow_nan=False)
 

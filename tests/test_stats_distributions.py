@@ -2,14 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.stats as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from repro.stats import (Beta, Binomial, beta_from_moments,
                          binomial_variance, hypergeometric_prior_moments,
                          normal_cdf, normal_quantile, normal_sf)
-
-# Comparisons are against scipy; the module under test runs without it.
-sps = pytest.importorskip("scipy.stats", exc_type=ImportError)
 
 
 class TestNormal:

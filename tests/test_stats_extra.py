@@ -2,11 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.stats as sps
 from repro.stats import Beta, Binomial, design_matrix, ols
 from repro.stats.significance import PAPER_DELTAS
-
-# Comparisons are against scipy; the module under test runs without it.
-sps = pytest.importorskip("scipy.stats", exc_type=ImportError)
 
 
 class TestBetaEdges:
