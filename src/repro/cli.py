@@ -295,9 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
                              help="default per-request deadline in "
                                   "seconds (default 30)")
     serve_start.add_argument("--batch-window", type=float, default=0.05,
-                             help="admission window in seconds over "
-                                  "which concurrent requests coalesce "
-                                  "into one batch (default 0.05)")
+                             help="admission window in seconds: a batch "
+                                  "waits only for requests already "
+                                  "arriving, at most this long, and "
+                                  "those coalesce into one batch "
+                                  "(default 0.05)")
     serve_start.add_argument("--slow-request", type=float,
                              help="log a warning (and count it) for "
                                   "requests slower end-to-end than "
@@ -600,12 +602,12 @@ def _run_obs(args: argparse.Namespace) -> int:
     import json
 
     if args.obs_command == "metrics":
-        from .serve import ServeClient
+        from .serve import ServeClient, ServeError
 
         client = ServeClient(args.host, args.port)
         try:
             sys.stdout.write(client.metrics())
-        except OSError as error:
+        except (OSError, ServeError) as error:
             print(f"no daemon at {args.host}:{args.port} ({error})",
                   file=sys.stderr)
             return 1
@@ -778,7 +780,7 @@ def _run_net(args: argparse.Namespace) -> int:
 def _run_serve(args: argparse.Namespace) -> int:
     import json
 
-    from .serve import BackboneDaemon, ServeClient
+    from .serve import BackboneDaemon, ServeClient, ServeError
 
     if args.serve_command == "start":
         daemon = BackboneDaemon(
@@ -797,7 +799,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     if args.serve_command == "status":
         try:
             print(json.dumps(client.status(), indent=2, sort_keys=True))
-        except OSError as error:
+        except (OSError, ServeError) as error:
             print(f"no daemon at {args.host}:{args.port} ({error})",
                   file=sys.stderr)
             return 1

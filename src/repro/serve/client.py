@@ -60,8 +60,10 @@ class ServeClient:
         ``plans`` holds :meth:`~repro.flow.Plan.to_json` strings or
         already-decoded artifact dicts. Raises :class:`DeadlineExceeded`
         when the daemon reports the deadline passed first, and
-        :class:`ServeError` for any other request-level failure; plan-
-        level failures come back inside ``reply["results"]``.
+        :class:`ServeError` for any other request-level failure (kind
+        ``"Protocol"`` when the reply is not a JSON object, e.g. from
+        a server that is not the daemon); plan-level failures come
+        back inside ``reply["results"]``.
 
         ``trace=True`` asks the daemon to trace this request; the
         reply then carries a ``"trace"`` artifact (trace id, span
@@ -113,12 +115,23 @@ class ServeClient:
                 else {}
             connection.request(verb, path, body=payload, headers=headers)
             response = connection.getresponse()
-            decoded = json.loads(response.read().decode())
+            raw = response.read()
         finally:
             connection.close()
+        try:
+            decoded = json.loads(raw.decode())
+        except ValueError:
+            decoded = None
+        if not isinstance(decoded, dict):
+            # Not the daemon's protocol: another server on this port,
+            # a proxy's error page, or a truncated reply.
+            raise ServeError(response.status, "Protocol",
+                             f"HTTP {response.status} reply is not a "
+                             f"JSON object: {raw[:80]!r}")
         if response.status >= 400:
-            error = decoded.get("error", {}) \
-                if isinstance(decoded, dict) else {}
+            error = decoded.get("error")
+            if not isinstance(error, dict):
+                error = {}
             kind = str(error.get("type", "ServeError"))
             message = str(error.get("message", "request failed"))
             if kind == "DeadlineExceeded":

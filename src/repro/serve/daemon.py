@@ -10,12 +10,16 @@ rather than a script is what it keeps warm and what it survives:
   one ``workers=`` preference live across requests, so the second
   client to ask for a scored table gets it from cache, whichever
   client paid for it.
-* **Admission window.** Requests arriving within ``batch_window``
-  seconds are coalesced into a single :func:`repro.flow.serve`
-  batch, which dedupes source parsing and scoring *across clients*
-  (the library's own batch call, so both share one failure
-  contract): eight clients asking
-  for eight NC deltas over one file trigger exactly one scoring pass.
+* **Admission window.** A batch waits only for requests already
+  arriving, at most ``batch_window`` seconds: the daemon counts
+  connections it has accepted whose first request is not yet queued,
+  and the batcher closes the batch as soon as that count is zero, so
+  a lone request is not held at all. The requests in one batch go
+  through a single :func:`repro.flow.serve` call, which dedupes
+  source parsing and scoring *across clients* (the library's own
+  batch call, so both share one failure contract): eight clients
+  asking for eight NC deltas over one file trigger exactly one
+  scoring pass.
 * **Deadlines.** Every request carries a deadline (client-supplied or
   the daemon default). A request whose deadline passes while queued is
   cancelled without being served; one that expires mid-batch returns a
@@ -71,6 +75,7 @@ import logging
 import math
 import threading
 import time
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -197,8 +202,10 @@ class BackboneDaemon:
     workers:
         Process fan-out for cold scoring, as everywhere else.
     batch_window:
-        Admission window in seconds: how long a batch waits for
-        fellow-traveler requests before executing.
+        Admission window in seconds: the longest a batch waits for
+        requests that are already arriving (connections accepted whose
+        first request is not yet queued). With none arriving, a batch
+        executes at once.
     default_deadline:
         Request deadline applied when the client sends none.
     request_timeout:
@@ -250,6 +257,10 @@ class BackboneDaemon:
         self._host, self._port = host, int(port)
         self._cond = threading.Condition()
         self._pending: List[_Ticket] = []
+        #: Accepted connections whose first request is neither queued
+        #: nor answered yet; the batcher holds a batch open only while
+        #: this is non-zero.
+        self._arriving = 0
         self._stopping = False
         self._server: Optional[ThreadingHTTPServer] = None
         self._threads: List[threading.Thread] = []
@@ -271,10 +282,8 @@ class BackboneDaemon:
         """Bind the socket and start the server + batcher threads."""
         if self._server is not None:
             raise RuntimeError("daemon already started")
-        handler = _make_handler(self)
-        self._server = ThreadingHTTPServer((self._host, self._port),
-                                           handler)
-        self._server.daemon_threads = True
+        self._server = _Server(self, (self._host, self._port),
+                               _make_handler(self))
         with self._cond:
             self._stopping = False
         self._stopped.clear()
@@ -342,9 +351,25 @@ class BackboneDaemon:
         """
         return self._await(self._admit(plans, deadline))
 
+    def _arrive(self) -> None:
+        """Count a newly accepted connection as arriving."""
+        with self._cond:
+            self._arriving += 1
+
+    def _depart(self) -> None:
+        """An arriving connection's first request ended without being
+        queued; stop holding batches open for it."""
+        with self._cond:
+            self._arriving -= 1
+            self._cond.notify_all()
+
     def _admit(self, plans: Sequence[Plan],
                deadline: Optional[float],
-               trace: bool = False) -> _Ticket:
+               trace: bool = False,
+               arrived: bool = False) -> _Ticket:
+        """Queue one request's plans. ``arrived`` marks a connection's
+        first request, which stops counting as arriving in the same
+        critical section that queues it."""
         if deadline is None:
             budget = self.default_deadline
         else:
@@ -360,6 +385,8 @@ class BackboneDaemon:
             if self._stopping:
                 raise RuntimeError("daemon is shutting down")
             self._pending.append(ticket)
+            if arrived:
+                self._arriving -= 1
             self._cond.notify_all()
         self.stats.inc("requests")
         return ticket
@@ -383,10 +410,14 @@ class BackboneDaemon:
                     self._cond.wait()
                 if not self._pending and self._stopping:
                     return
-            # Admission window: let same-window requests pile in.
-            if self.batch_window > 0 and not self._stopping:
-                time.sleep(self.batch_window)
-            with self._cond:
+                # Admission window: hold the batch open only for
+                # requests already arriving, and never past the window.
+                closes = time.monotonic() + self.batch_window
+                while self._arriving and not self._stopping:
+                    left = closes - time.monotonic()
+                    if left <= 0:
+                        break
+                    self._cond.wait(left)
                 tickets, self._pending = self._pending, []
             if tickets:
                 self._execute(tickets)
@@ -500,10 +531,15 @@ class BackboneDaemon:
             "Seconds since the daemon started.",
             max(0.0, time.time() - self.stats.started)))
         with self._cond:
-            depth = len(self._pending)
+            depth, arriving = len(self._pending), self._arriving
         families.append(make_family(
             "gauge", "repro_daemon_pending_requests",
             "Requests queued in the admission window.", depth))
+        families.append(make_family(
+            "gauge", "repro_daemon_arriving_requests",
+            "Accepted connections whose first request is not yet "
+            "queued; the admission window stays open while this is "
+            "non-zero.", arriving))
         stats = self.store.stats
         families.extend([
             make_family("counter", "repro_cache_hits_total",
@@ -599,6 +635,25 @@ def _trace_artifact(ticket: _Ticket, root: Span,
 # HTTP layer
 # ----------------------------------------------------------------------
 
+class _Server(ThreadingHTTPServer):
+    """Counts each accepted connection as arriving before its handler
+    thread starts, so the batcher sees it even before a byte of the
+    request is read."""
+
+    def __init__(self, daemon: BackboneDaemon, address, handler):
+        self.backbone_daemon = daemon
+        super().__init__(address, handler)
+
+    def process_request(self, request, client_address):
+        self.backbone_daemon._arrive()
+        try:
+            super().process_request(request, client_address)
+        except BaseException:
+            # No handler thread runs to release the arrival.
+            self.backbone_daemon._depart()
+            raise
+
+
 def result_payload(result: FlowResult,
                    return_edges: bool = False) -> Dict[str, object]:
     """JSON-safe encoding of one :class:`FlowResult`."""
@@ -626,16 +681,51 @@ def _make_handler(daemon: BackboneDaemon):
         protocol_version = "HTTP/1.1"
         timeout = daemon.request_timeout  # slow-client read bound
 
+        #: True until this connection's first request is queued or
+        #: answered; _Server counted the connection as arriving.
+        arriving = True
+
         # -- plumbing --------------------------------------------------
+
+        def handle(self):
+            # BaseHTTPRequestHandler.handle, releasing the connection's
+            # arrival however its first request ends: queued (do_POST
+            # clears the flag), answered, timed out or dropped.
+            self.close_connection = True
+            try:
+                self.handle_one_request()
+            finally:
+                if self.arriving:
+                    self.arriving = False
+                    daemon._depart()
+            while not self.close_connection:
+                self.handle_one_request()
 
         def log_message(self, format, *args):  # noqa: A002 (stdlib name)
             logger.debug("%s %s", self.address_string(), format % args)
+
+        def send_error(self, code, message=None, explain=None):
+            # The stdlib's errors (unsupported method, malformed
+            # request line, oversized headers) in the daemon's JSON
+            # error shape instead of an HTML page.
+            try:
+                status = HTTPStatus(code)
+                kind = "".join(part.title()
+                               for part in status.name.split("_"))
+                phrase = status.phrase
+            except ValueError:
+                kind, phrase = "HTTPError", "request failed"
+            self.log_error("code %d, message %s", code, message)
+            self.close_connection = True  # the body may be unread
+            self._fail(code, kind, message or phrase)
 
         def _reply(self, status: int, payload: Dict[str, object]) -> None:
             body = json.dumps(payload).encode()
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
+            if self.close_connection:
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
 
@@ -722,7 +812,9 @@ def _make_handler(daemon: BackboneDaemon):
             if plans:
                 try:
                     ticket = daemon._admit(plans, deadline,
-                                           trace=want_trace)
+                                           trace=want_trace,
+                                           arrived=self.arriving)
+                    self.arriving = False
                     results = daemon._await(ticket)
                     batch = ticket.batch
                     artifact = ticket.artifact

@@ -8,8 +8,12 @@ requesting N deltas over one source produce exactly one scoring pass,
 verified against the shared store's traffic counters.
 """
 
+import functools
 import json
+import socket
 import threading
+import time
+from http.server import SimpleHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
@@ -49,6 +53,61 @@ def daemon():
 @pytest.fixture()
 def client(daemon):
     return ServeClient(port=daemon.port)
+
+
+def http_request(method, path, body=b"", length=None):
+    """Raw HTTP/1.1 request bytes that ask the server to close after."""
+    length = len(body) if length is None else length
+    head = (f"{method} {path} HTTP/1.1\r\nHost: localhost\r\n"
+            f"Connection: close\r\nContent-Length: {length}\r\n\r\n")
+    return head.encode() + body
+
+
+def read_reply(sock):
+    """Read until the server closes; (status, headers text, body)."""
+    chunks = []
+    while True:
+        chunk = sock.recv(65536)
+        if not chunk:
+            break
+        chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    return int(head.split()[1]), head.decode("latin-1").lower(), body
+
+
+def raw_exchange(port, request):
+    with socket.create_connection(("127.0.0.1", port),
+                                  timeout=10.0) as sock:
+        sock.sendall(request)
+        return read_reply(sock)
+
+
+def wait_for(predicate, timeout=5.0):
+    give_up = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > give_up:
+            return False
+        time.sleep(0.005)
+    return True
+
+
+@pytest.fixture()
+def foreign_server(tmp_path):
+    """A stdlib file server: speaks HTTP, but not the daemon's JSON."""
+    (tmp_path / "healthz").write_text("ok")
+
+    class Quiet(SimpleHTTPRequestHandler):
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(
+        ("127.0.0.1", 0),
+        functools.partial(Quiet, directory=str(tmp_path)))
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server.server_address[1]
+    server.shutdown()
+    server.server_close()
 
 
 class TestProtocol:
@@ -173,6 +232,119 @@ class TestCoalescing:
         assert status["store"]["puts"] == 1
 
 
+class TestAdmissionWindow:
+    def test_lone_request_is_not_held_for_the_window(self, edges_csv):
+        plan = flow(str(edges_csv)).method("NT").budget(share=0.3)
+        with BackboneDaemon(port=0, batch_window=1.0) as daemon:
+            reply = ServeClient(port=daemon.port).run([plan.to_json()],
+                                                      trace=True)
+        assert reply["results"][0]["ok"]
+        assert reply["trace"]["stages"]["admission.wait"] < 0.5
+
+    def test_arriving_connection_holds_window_until_it_closes(
+            self, edges_csv):
+        window = 0.5
+        plan = flow(str(edges_csv)).method("NT").budget(share=0.3)
+        with BackboneDaemon(port=0, batch_window=window) as daemon:
+            held = socket.create_connection(("127.0.0.1", daemon.port),
+                                            timeout=10.0)
+            try:
+                # Headers sent, body held back: still arriving.
+                held.sendall(http_request("POST", "/v1/run", length=64))
+                assert wait_for(lambda: daemon._arriving == 1)
+                assert "repro_daemon_arriving_requests 1" \
+                    in daemon.metrics_text()
+                start = time.perf_counter()
+                assert daemon.submit([plan])[0].ok
+                held_for = time.perf_counter() - start
+                # Waited out the window for it, and no longer.
+                assert window * 0.9 <= held_for < window + 0.5
+            finally:
+                held.close()
+            assert wait_for(lambda: daemon._arriving == 0)
+            start = time.perf_counter()
+            assert daemon.submit([plan])[0].ok
+            assert time.perf_counter() - start < window / 2
+            assert "repro_daemon_arriving_requests 0" \
+                in daemon.metrics_text()
+
+    def test_every_first_request_ending_releases_its_arrival(
+            self, edges_csv):
+        plan = json.loads(
+            flow(str(edges_csv)).method("NT").budget(share=0.3).to_json())
+        run = json.dumps({"plans": [plan]}).encode()
+        bad_deadline = json.dumps({"plans": [plan],
+                                   "deadline": -1}).encode()
+        cases = [
+            (http_request("POST", "/v1/run", run), 200),
+            (http_request("POST", "/v1/run", b"{not json"), 400),
+            (http_request("POST", "/v1/run", bad_deadline), 400),
+            (http_request("GET", "/v1/nope"), 404),
+            (http_request("GET", "/healthz"), 200),
+            (http_request("PUT", "/v1/run", run), 501),
+        ]
+        with BackboneDaemon(port=0, batch_window=0.5) as daemon:
+            for request, expected in cases:
+                # The server closes the connection only after the
+                # handler has released its arrival.
+                status, _, _ = raw_exchange(daemon.port, request)
+                assert status == expected, request
+                assert daemon._arriving == 0, request
+            # A client that disconnects mid-body.
+            with socket.create_connection(("127.0.0.1", daemon.port),
+                                          timeout=10.0) as sock:
+                sock.sendall(http_request("POST", "/v1/run",
+                                          run[:10], length=len(run)))
+                assert wait_for(lambda: daemon._arriving == 1)
+            assert wait_for(lambda: daemon._arriving == 0)
+            # A request whose body lands after shutdown began: 503.
+            with socket.create_connection(("127.0.0.1", daemon.port),
+                                          timeout=10.0) as sock:
+                sock.sendall(http_request("POST", "/v1/run",
+                                          length=len(run)))
+                assert wait_for(lambda: daemon._arriving == 1)
+                stopper = threading.Thread(target=daemon.stop)
+                stopper.start()
+                assert wait_for(lambda: daemon._stopping)
+                sock.sendall(run)
+                status, _, body = read_reply(sock)
+            stopper.join(timeout=10.0)
+            assert status == 503
+            assert json.loads(body)["error"]["type"] == "Unavailable"
+            assert daemon._arriving == 0
+
+
+class TestErrorReplies:
+    def test_stdlib_errors_use_the_json_error_shape(self, client):
+        with pytest.raises(ServeError) as info:
+            client._call("PUT", "/v1/run", {"plans": []})
+        assert info.value.status == 501
+        assert info.value.kind == "NotImplemented"
+        # A malformed request line: four words.
+        status, head, body = raw_exchange(
+            client.port, b"GET /v1/status extra HTTP/1.1\r\n\r\n")
+        assert status == 400
+        assert "content-type: application/json" in head
+        error = json.loads(body)["error"]
+        assert error["type"] == "BadRequest"
+        assert "Bad request syntax" in error["message"]
+        assert client.healthy()
+
+    def test_client_maps_non_json_replies_to_serve_error(
+            self, edges_csv, foreign_server):
+        foreign = ServeClient(port=foreign_server)
+        assert not foreign.healthy()  # 200, but plain text
+        plan = flow(str(edges_csv)).method("NT").budget(share=0.3)
+        with pytest.raises(ServeError) as info:
+            foreign.run([plan.to_json()])  # HTML 501 page
+        assert info.value.kind == "Protocol"
+        assert info.value.status == 501
+        with pytest.raises(ServeError) as info:
+            foreign.status()  # HTML 404 page
+        assert (info.value.kind, info.value.status) == ("Protocol", 404)
+        assert not foreign.shutdown()
+
+
 class TestDeadlines:
     def test_deadline_expiry_is_504_and_daemon_survives(self, edges_csv):
         table = random_table(3)
@@ -225,15 +397,31 @@ class TestDeadlines:
             assert daemon.submit([plan], deadline=1e300)[0].ok
 
     def test_queued_ticket_cancelled_after_deadline(self, edges_csv):
+        table = random_table(5)
+        inner = flow(table).method("NT").method_spec.build()
+        slow = flow(table).method(
+            ChaosMethod(inner, hooks=[Sleep(0.6)])).budget(share=0.5)
         with BackboneDaemon(port=0, batch_window=0.3,
                             default_deadline=0.01) as daemon:
+            # A lone request is not held in the window, so queue the
+            # short-deadline ticket behind a slow batch instead.
+            background = threading.Thread(
+                target=daemon.submit, args=([slow],),
+                kwargs={"deadline": 5.0})
+            background.start()
+            for _ in range(100):
+                with daemon._cond:
+                    if daemon.stats.requests and not daemon._pending:
+                        break
+                threading.Event().wait(0.01)
             plan = flow(str(edges_csv)).method("NT") \
                 .budget(share=0.3)
             with pytest.raises(DeadlineExceeded):
                 daemon.submit([plan])
+            background.join()
             for _ in range(100):
                 stats = daemon.stats
-                if stats.cancelled or stats.batches:
+                if stats.cancelled or stats.batches > 1:
                     break
                 threading.Event().wait(0.02)
             assert daemon.stats.cancelled == 1, \
@@ -365,6 +553,12 @@ class TestServeCLI:
 
     def test_status_against_dead_port_fails_cleanly(self, capsys):
         assert main(["serve", "status", "--port", "1"]) == 1
+        assert "no daemon" in capsys.readouterr().err
+
+    def test_status_against_foreign_server_fails_cleanly(
+            self, capsys, foreign_server):
+        assert main(["serve", "status", "--port",
+                     str(foreign_server)]) == 1
         assert "no daemon" in capsys.readouterr().err
 
     def test_shutdown_against_dead_port_fails_cleanly(self, capsys):
